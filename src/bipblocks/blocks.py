@@ -1,20 +1,21 @@
 """Block identity, weights, nuclei and member labelling.
 
-A block is identified by its size and residue content. Its weight comes
-from a three-phase abacus reduction. Odd-weight non-core blocks have a
+A block is identified by its size and residue content, and its members are
+built from that content row by row. Its weight comes from a three-phase
+abacus reduction of any member. Odd-weight non-core blocks have a
 weight-0 nucleus (for a shifted bicharge) from which every member is
 rebuilt by prescribed bead moves; those moves are the member labels.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .core import (
-    Bipartition, Params, Partition, bip, bipartitions, boundary_nodes,
-    canonical_sort, diagram, residue,
+    Bipartition, Params, Partition, boundary_nodes, canonical_sort,
+    diagram, residue,
 )
 from .abacus import (
     AbacusDisplay, Bicharge, canonical_bicharge, display, from_display,
@@ -334,29 +335,67 @@ def _z_from_params(btype: str, params: tuple[int, ...], e: int) -> frozenset[int
     return frozenset(out)
 
 
-_cache_lock = threading.Lock()
-_block_cache: dict = {}
+def _rows(size: int, max_part: int, row: int, charge: int, counts: list,
+          e: int):
+    """Partitions of ``size`` with parts at most ``max_part``, starting at
+    ``row``, whose cells take at most ``counts[i]`` nodes of each residue i,
+    in ``core.partitions`` order (rows as plain tuples).
+
+    Row r of a component with charge k holds the residues k+1-r, k+2-r, ...
+    in order, so a row stops growing at the first residue with nothing
+    left. ``counts`` is spent while a partition is yielded and restored
+    when the generator is exhausted.
+    """
+    if size == 0:
+        yield ()
+        return
+    start = charge + 1 - row
+    length, limit = 0, min(size, max_part)
+    while length < limit and counts[(start + length) % e]:
+        counts[(start + length) % e] -= 1
+        length += 1
+    while length:
+        for rest in _rows(size - length, length, row + 1, charge, counts, e):
+            yield (length,) + rest
+        length -= 1
+        counts[(start + length) % e] += 1
+
+
+def _members(key: BlockKey, p: Params):
+    """The block's members, built from its content in ``bipartitions``
+    order: size of component 1 ascending, then ``partitions`` order in
+    each component. A malformed key yields nothing."""
+    counts = list(key.content)
+    if len(counts) != p.e or min(counts) < 0 or sum(counts) != key.n:
+        return
+    k1, k2 = p.kappa
+    for m in range(key.n + 1):
+        for c1 in _rows(m, m, 1, k1, counts, p.e):
+            # component 2 takes exactly what component 1 left
+            for c2 in _rows(key.n - m, key.n - m, 1, k2, counts, p.e):
+                yield Bipartition(Partition(c1), Partition(c2))
 
 
 def _member_of(key: BlockKey, p: Params) -> Bipartition:
-    for b in bipartitions(key.n):
-        if content_counts(b, p) == key.content:
-            return b
+    """The block's first member in ``bipartitions`` order."""
+    for b in _members(key, p):
+        return b
     raise ValueError("empty block: no bipartition has this content")
 
 
+def block_weight(key: BlockKey, p: Params) -> int:
+    """Weight of the block, from its first member: no enumeration."""
+    return weight(_member_of(key, p), p)
+
+
+@lru_cache(maxsize=None)
 def enumerate_block(key: BlockKey, p: Params) -> list[Bipartition]:
-    """All members of the block, most dominant first (brute force)."""
-    cache_key = ("enum", key, p)
-    with _cache_lock:
-        if cache_key in _block_cache:
-            return _block_cache[cache_key]
-    out = canonical_sort(b for b in bipartitions(key.n)
-                         if content_counts(b, p) == key.content)
+    """All members of the block, most dominant first, built from the
+    content. The list is memoised: callers share it and must not mutate
+    it."""
+    out = canonical_sort(_members(key, p))
     if not out:
         raise ValueError("empty block: no bipartition has this content")
-    with _cache_lock:
-        _block_cache[cache_key] = out
     return out
 
 
@@ -391,25 +430,18 @@ def _build_family(member: Bipartition, p: Params, wt: int) -> BlockFamily:
     return out if len(out) == 2 else out[0]
 
 
+@lru_cache(maxsize=None)
 def _analyze(key: BlockKey, p: Params):
-    cache_key = ("analyze", key, p)
-    with _cache_lock:
-        if cache_key in _block_cache:
-            return _block_cache[cache_key]
-    member = _member_of(key, p)
-    result = _analyze_member(member, p)
-    with _cache_lock:
-        _block_cache[cache_key] = result
-    return result
+    return _analyze_member(_member_of(key, p), p)
 
 
 def _analyze_member(member: Bipartition, p: Params):
     key = BlockKey(member.size, content_counts(member, p))
     delta = delta_vector(member, p)
     wt = weight(member, p)
-    d, _ = push_up(display(member, p))
-    core = (d.beads1 == display(member, p).beads1
-            and d.beads2 == display(member, p).beads2
+    start = display(member, p)
+    d, _ = push_up(start)
+    core = (d.beads1 == start.beads1 and d.beads2 == start.beads2
             and _swap_candidates(gamma_vector(d)) is None)
     btype = _btype(delta)
     family = None

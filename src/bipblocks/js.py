@@ -18,7 +18,9 @@ from .core import (
     Bipartition, Params, RimHook, canonical_sort, diagram, dominates,
     removable_nodes, remove_node, residue, rim_hooks,
 )
-from .blocks import BlockKey, content_counts, enumerate_block, weight
+from .blocks import (
+    BlockKey, block_weight, content_counts, enumerate_block, weight,
+)
 from .crystal import is_restricted
 
 
@@ -200,13 +202,16 @@ def _solve_column(ascending, by_row, mu, p: Params):
     return dn, bounds, flags
 
 
-def matrix_from_members(members, p: Params, workers: int | None = None) -> DecompMatrix:
-    """Solve the bound recursion over an explicitly given block."""
-    rows = tuple(canonical_sort(members))
-    wt = weight(rows[0], p)
+def _require_certified(wt: int) -> None:
     if wt > 3:
         raise ValueError(f"unsupported weight {wt}: entries are only "
                          "certified up to weight 3")
+
+
+def matrix_from_members(members, p: Params, workers: int | None = None) -> DecompMatrix:
+    """Solve the bound recursion over an explicitly given block."""
+    rows = tuple(canonical_sort(members))
+    _require_certified(weight(rows[0], p))
     cols = tuple(m for m in rows if is_restricted(m, p)[0])
     table = _valuation_table(rows, p)
     # group the table by dominating member so each column scan is linear
@@ -236,4 +241,7 @@ def matrix_from_members(members, p: Params, workers: int | None = None) -> Decom
 
 def decomposition_matrix(key: BlockKey, p: Params,
                          workers: int | None = None) -> DecompMatrix:
+    """The block's matrix. A block of weight above 3 is refused before its
+    members are enumerated."""
+    _require_certified(block_weight(key, p))
     return matrix_from_members(enumerate_block(key, p), p, workers)

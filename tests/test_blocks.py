@@ -11,6 +11,7 @@ from bipblocks.blocks import (
     weight, weight_trace, enumerate_block, nucleus_and_Z, classify_type,
     exceptional_bips, exceptional_labels, block_family,
     family_from_type_params, constructive_members, swap_components,
+    _member_of, _members,
 )
 from helpers import small_bips, params_st, bips_of
 
@@ -124,6 +125,23 @@ class TestEnumerate:
         members = enumerate_block(key_of(bip((3, 1, 1, 1), ()), P43), P43)
         assert sorted(members) == sorted([
             bip((3, 1, 1, 1), ()), bip((3,), (1, 1, 1)), bip((), (4, 1, 1))])
+
+    @pytest.mark.parametrize("e", [2, 3, 4, 5])
+    def test_generator_matches_brute_force(self, e):
+        # every block with n <= 8 under every kappa: the content-built
+        # members equal the filtered bipartitions, order included
+        for k1 in range(e):
+            for k2 in range(e):
+                p = Params.make(e, (k1, k2))
+                for n in range(9):
+                    bips = bips_of(n)
+                    contents = [content_counts(b, p) for b in bips]
+                    for content in dict.fromkeys(contents):
+                        expected = [b for b, c in zip(bips, contents)
+                                    if c == content]
+                        key = BlockKey(n, content)
+                        assert list(_members(key, p)) == expected
+                        assert _member_of(key, p) == expected[0]
 
     @given(small_bips(7), params_st())
     def test_constructive_agrees(self, b, p):

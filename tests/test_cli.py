@@ -6,6 +6,7 @@ from hypothesis import given
 
 from bipblocks.core import Params, bip, canonical_sort
 from bipblocks.blocks import block_key, classify_type
+from bipblocks import blocks, js
 from bipblocks.js import decomposition_matrix
 from bipblocks.cli import (
     CACHE_ENV, CASES, main, parse, serialize, verify_case, verify_all,
@@ -195,6 +196,34 @@ class TestCommands:
         bad = '{"e":2,"kappa":[0,0],"charp":0,"comp1":[],"comp2":[4]}'
         res = run("decomp", "--bip", bad)  # domain: weight 4
         assert res.exit_code == 1 and "weight" in res.output
+
+    # content too short, too long, with a negative entry, summing past n
+    @pytest.mark.parametrize("content", [
+        "[3,4,3]", "[2,3,3,2,0]", "[2,3,-1,6]", "[2,3,3,3]",
+    ])
+    @pytest.mark.parametrize("command", [["decomp"], ["block", "enumerate"]])
+    def test_malformed_block_key(self, command, content):
+        doc = ('{"e":4,"kappa":[0,3],"charp":0,"n":10,'
+               f'"content":{content}}}')
+        res = run(*command, "--block", doc, "--no-cache")
+        assert res.exit_code == 1
+        assert res.output == ("error: empty block: no bipartition has "
+                              "this content\n")
+
+    def test_heavy_block_refused_before_enumeration(self, tmp_path,
+                                                    monkeypatch):
+        def refuse(key, p):
+            raise AssertionError("enumerated a block of weight above 3")
+
+        monkeypatch.setattr(blocks, "enumerate_block", refuse)
+        monkeypatch.setattr(js, "enumerate_block", refuse)
+        heavy = ('{"e":5,"kappa":[0,1],"charp":0,'
+                 '"comp1":[1,1,1],"comp2":[10,5]}')
+        res = run("decomp", "--bip", heavy, env={CACHE_ENV: str(tmp_path)})
+        assert res.exit_code == 1
+        assert res.output == ("error: unsupported weight 6: entries are "
+                              "only certified up to weight 3\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_deterministic(self):
         first = run("decomp", "--bip", H5DOC, "--no-cache")
