@@ -183,10 +183,6 @@ class BlockFamily:
     def members(self) -> list[Bipartition]:
         return canonical_sort(lab.bipartition for lab in self.labels)
 
-    def key(self) -> BlockKey:
-        b = self.labels[0].bipartition
-        return BlockKey(b.size, content_counts(b, self.params))
-
 
 def swap_components(b: Bipartition) -> Bipartition:
     return Bipartition(b.comp2, b.comp1)
@@ -399,9 +395,10 @@ def enumerate_block(key: BlockKey, p: Params) -> list[Bipartition]:
     return out
 
 
-def _build_family(member: Bipartition, p: Params, wt: int) -> BlockFamily:
-    """Reduce to the underlying weight-1 display, pick the orientation
-    with a single low runner, and build the nucleus and labels."""
+def _build_family(member: Bipartition, p: Params,
+                  wt: int) -> list[BlockFamily]:
+    """Reduce to the underlying weight-1 display and build the nucleus and
+    labels in each component order that has a single low runner."""
     attempts = []
     for swapped in (False, True):
         q = p.swap() if swapped else p
@@ -427,7 +424,7 @@ def _build_family(member: Bipartition, p: Params, wt: int) -> BlockFamily:
         labels = _family_labels(xi_d, z_set, wt, swapped, q.e)
         out.append(BlockFamily(p, swapped, xi, xi_d, frozenset(z_set),
                                wt, labels))
-    return out if len(out) == 2 else out[0]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -447,8 +444,7 @@ def _analyze_member(member: Bipartition, p: Params):
     family = None
     type_params = None
     if wt == 1 or (wt == 3 and not core):
-        fam = _build_family(member, p, wt)
-        candidates = fam if isinstance(fam, list) else [fam]
+        candidates = _build_family(member, p, wt)
         if wt == 3 and btype in ("II", "III", "IV"):
             for cand in candidates:
                 oriented_p = cand.params.swap() if cand.swapped else cand.params
@@ -490,8 +486,7 @@ def nucleus_and_Z(key: BlockKey, p: Params) -> tuple[Bipartition, frozenset[int]
 
 def constructive_members(key: BlockKey, p: Params) -> list[Bipartition]:
     """Members rebuilt from the nucleus labels, most dominant first."""
-    fam = block_family(key, p)
-    return canonical_sort(lab.bipartition for lab in fam.labels)
+    return block_family(key, p).members()
 
 
 def exceptional_labels(fam: BlockFamily) -> list[MemberLabel]:
@@ -516,8 +511,7 @@ def exceptional_bips(key: BlockKey, p: Params) -> list[MemberLabel]:
     desc, fam = _analyze(key, p)
     if desc.weight != 3:
         raise ValueError("exceptional members are defined for weight 3 only")
-    pos = [i for i, dv in enumerate(desc.delta) if dv >= 1]
-    if not pos or desc.is_core:
+    if desc.is_core:
         return []
     return exceptional_labels(fam)
 

@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -98,19 +97,37 @@ def _load_doc(text: str) -> dict:
     return doc
 
 
+# int() would truncate a float and read a bool or a string of digits, so
+# document fields accept only JSON integers: type(x) is int.
+
+def _int_field(value, name: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"field {name} must be an integer")
+    return value
+
+
+def _int_list_field(value, name: str,
+                    length: Optional[int] = None) -> tuple[int, ...]:
+    if (not isinstance(value, list) or length not in (None, len(value))
+            or any(type(x) is not int for x in value)):
+        count = "" if length is None else f"{length} "
+        raise ValueError(f"field {name} must be a list of {count}integers")
+    return tuple(value)
+
+
 def _parse_bip_fields(doc: dict, where: str = "") -> Bipartition:
     for field in ("comp1", "comp2"):
         if field not in doc:
             raise ValueError(f"missing field {where}{field}")
-        if not isinstance(doc[field], list):
-            raise ValueError(f"field {where}{field} must be a list")
-    return bip(doc["comp1"], doc["comp2"])
+    return bip(_int_list_field(doc["comp1"], where + "comp1"),
+               _int_list_field(doc["comp2"], where + "comp2"))
 
 
 def _parse_key_fields(doc: dict) -> BlockKey:
     if "n" not in doc or "content" not in doc:
         raise ValueError("missing field block.n or block.content")
-    return BlockKey(int(doc["n"]), tuple(int(x) for x in doc["content"]))
+    return BlockKey(_int_field(doc["n"], "n"),
+                    _int_list_field(doc["content"], "content"))
 
 
 def parse(text: str):
@@ -510,28 +527,18 @@ def _build_cases() -> dict[str, CaseSpec]:
 CASES = _build_cases()
 
 
-def verify_all(workers: Optional[int] = None) -> list[VerifyReport]:
-    ids = sorted(CASES)
-    if workers:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda c: verify_case(CASES[c]), ids))
-    return [verify_case(CASES[c]) for c in ids]
+def verify_all() -> list[VerifyReport]:
+    return [verify_case(CASES[c]) for c in sorted(CASES)]
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
-def _bip_str(b: Bipartition) -> str:
-    def part(q):
-        return ",".join(str(x) for x in q) if q else "-"
-    return f"({part(b.comp1)}|{part(b.comp2)})"
-
-
 def _render_matrix_table(m: DecompMatrix) -> str:
-    head = [""] + [_bip_str(c) for c in m.cols]
+    head = [""] + [str(c) for c in m.cols]
     body = []
     for r, lam in enumerate(m.rows):
-        cells = [_bip_str(lam)]
+        cells = [str(lam)]
         for c in range(len(m.cols)):
             mark = "*" if m.flags[r][c] == "clamped" else ""
             cells.append(f"{m.entries[r][c]}{mark}")
@@ -579,16 +586,16 @@ def _parse_kappa(text: str) -> tuple[int, int]:
 
 def _resolve(doc: Optional[dict], e, kappa, charp) -> Params:
     doc = doc or {}
-    if e is None:
-        e = doc.get("e")
+    if e is None and "e" in doc:
+        e = _int_field(doc["e"], "e")
     if kappa is None and "kappa" in doc:
-        kappa = tuple(doc["kappa"])
+        kappa = _int_list_field(doc["kappa"], "kappa", 2)
     if charp is None:
-        charp = doc.get("charp", 0)
+        charp = _int_field(doc.get("charp", 0), "charp")
     if e is None or kappa is None:
         raise click.UsageError("supply --e and --kappa (or a document "
                                "carrying them)")
-    return Params.make(int(e), tuple(kappa), int(charp))
+    return Params.make(e, kappa, charp)
 
 
 def _resolve_bip(doc_text: Optional[str], e, kappa, charp):
@@ -628,8 +635,6 @@ def _common(fn):
     fn = click.option("--format", "fmt",
                       type=click.Choice(["json", "table"]),
                       default="json", help="Output format.")(fn)
-    fn = click.option("--no-cache", is_flag=True,
-                      help="Bypass the matrix cache.")(fn)
     return fn
 
 
@@ -656,12 +661,12 @@ def bip_group():
 
 @bip_group.command("info")
 @_common
-def bip_info(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
+def bip_info(e, kappa, charp, bip_doc, block_doc, fmt):
     """Size, block, weight and crystal status of a bipartition."""
     def body():
         b, p = _resolve_bip(bip_doc, e, kappa, charp)
         key, _ = block_key(b, p)
-        info = [("bipartition", _bip_str(b)), ("n", b.size),
+        info = [("bipartition", str(b)), ("n", b.size),
                 ("content", list(key.content)), ("weight", weight(b, p)),
                 ("restricted", is_restricted(b, p)[0]),
                 ("regular", is_regular(b, p))]
@@ -674,7 +679,7 @@ def bip_info(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
 
 @bip_group.command("restricted")
 @_common
-def bip_restricted(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
+def bip_restricted(e, kappa, charp, bip_doc, block_doc, fmt):
     """Good-node stripping test, with the residue trace."""
     def body():
         b, p = _resolve_bip(bip_doc, e, kappa, charp)
@@ -689,13 +694,13 @@ def bip_restricted(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
 
 @bip_group.command("diamond")
 @_common
-def bip_diamond(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
+def bip_diamond(e, kappa, charp, bip_doc, block_doc, fmt):
     """Regular partner of a restricted bipartition."""
     def body():
         b, p = _resolve_bip(bip_doc, e, kappa, charp)
         partner = mu_diamond(b, p)
         if fmt == "table":
-            click.echo(_bip_str(partner))
+            click.echo(str(partner))
         else:
             click.echo(serialize(partner), nl=False)
     _run(body)
@@ -708,7 +713,7 @@ def block_group():
 
 @block_group.command("info")
 @_common
-def block_info(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
+def block_info(e, kappa, charp, bip_doc, block_doc, fmt):
     """Type, nucleus and runner data of a block."""
     def body():
         key, p = _resolve_block(bip_doc, block_doc, e, kappa, charp)
@@ -718,7 +723,7 @@ def block_info(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
                      ("weight", desc.weight), ("type", desc.btype),
                      ("core", desc.is_core),
                      ("nucleus", "-" if desc.nucleus is None
-                      else _bip_str(desc.nucleus)),
+                      else str(desc.nucleus)),
                      ("zSet", "-" if desc.z_set is None
                       else sorted(desc.z_set)),
                      ("typeParams", "-" if desc.type_params is None
@@ -731,14 +736,14 @@ def block_info(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
 
 @block_group.command("enumerate")
 @_common
-def block_enumerate(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
+def block_enumerate(e, kappa, charp, bip_doc, block_doc, fmt):
     """All members, most dominant first."""
     def body():
         key, p = _resolve_block(bip_doc, block_doc, e, kappa, charp)
         members = enumerate_block(key, p)
         if fmt == "table":
             for m in members:
-                click.echo(_bip_str(m))
+                click.echo(str(m))
         else:
             click.echo(json.dumps([_bip_doc(m) for m in members], indent=2))
     _run(body)
@@ -746,14 +751,14 @@ def block_enumerate(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
 
 @block_group.command("exceptional")
 @_common
-def block_exceptional(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
+def block_exceptional(e, kappa, charp, bip_doc, block_doc, fmt):
     """Exceptional members of a weight-3 block, with their labels."""
     def body():
         key, p = _resolve_block(bip_doc, block_doc, e, kappa, charp)
         labels = exceptional_bips(key, p)
         if fmt == "table":
             for lab in labels:
-                click.echo(f"{lab}  {_bip_str(lab.bipartition)}")
+                click.echo(f"{lab}  {lab.bipartition}")
         else:
             click.echo(json.dumps(
                 [{"label": str(lab), "kind": lab.kind,
@@ -796,7 +801,7 @@ def js_val(bip_docs, e, kappa, charp, fmt):
 
 @js_group.command("order")
 @_common
-def js_order_cmd(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
+def js_refined_order(e, kappa, charp, bip_doc, block_doc, fmt):
     """Strict relations of the refined order on a block."""
     def body():
         key, p = _resolve_block(bip_doc, block_doc, e, kappa, charp)
@@ -805,8 +810,7 @@ def js_order_cmd(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
         rel = sorted((idx[a], idx[b]) for a, b in order.strict)
         if fmt == "table":
             for a, b in rel:
-                click.echo(f"{_bip_str(order.members[a])} > "
-                           f"{_bip_str(order.members[b])}")
+                click.echo(f"{order.members[a]} > {order.members[b]}")
         else:
             click.echo(json.dumps(
                 {"members": [_bip_doc(m) for m in order.members],
@@ -816,6 +820,7 @@ def js_order_cmd(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
 
 @main.command("decomp")
 @_common
+@click.option("--no-cache", is_flag=True, help="Bypass the matrix cache.")
 def decomp(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
     """Decomposition matrix of a block of weight at most three."""
     def body():
@@ -837,10 +842,9 @@ def decomp(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
 @click.option("--all", "run_all", is_flag=True, help="Run every case.")
 @click.option("--list", "list_cases", is_flag=True,
               help="List the case identifiers.")
-@click.option("--workers", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]),
               default="table")
-def verify(case_id, e, params, run_all, list_cases, workers, fmt):
+def verify(case_id, e, params, run_all, list_cases, fmt):
     """Recompute catalogued families and diff against the fixtures."""
     def body():
         if list_cases:
@@ -848,7 +852,7 @@ def verify(case_id, e, params, run_all, list_cases, workers, fmt):
                 click.echo(cid)
             return
         if run_all:
-            reports = verify_all(workers)
+            reports = verify_all()
         elif case_id is not None:
             if case_id not in CASES:
                 raise click.UsageError(f"unknown case {case_id}")

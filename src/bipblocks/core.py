@@ -90,8 +90,10 @@ class Bipartition(NamedTuple):
         return self.comp1 if a == 1 else self.comp2
 
     def __str__(self) -> str:
-        fmt = lambda p: "(" + ",".join(map(str, p)) + ")" if p else "()"
-        return fmt(self.comp1) + "|" + fmt(self.comp2)
+        """The CLI form: ``(4,1|-)``, with ``-`` for an empty component."""
+        def part(q):
+            return ",".join(map(str, q)) if q else "-"
+        return f"({part(self.comp1)}|{part(self.comp2)})"
 
 
 def bip(c1, c2) -> Bipartition:
@@ -113,12 +115,7 @@ def residue(node: Node, p: Params) -> int:
     return (node.col - node.row + p.kappa[node.component - 1]) % p.e
 
 
-def node_is_above(a: Node, b: Node) -> bool:
-    """Reading order for signatures: component-major, then row."""
-    return (a.component, a.row) < (b.component, b.row)
-
-
-def conjugate(b: Bipartition, p: Optional[Params] = None) -> Bipartition:
+def conjugate(b: Bipartition) -> Bipartition:
     """Transpose both components and swap them."""
     return Bipartition(b.comp2.conjugate(), b.comp1.conjugate())
 
@@ -163,13 +160,16 @@ def canonical_sort(bips) -> list[Bipartition]:
     return sorted(bips, key=dominance_key, reverse=True)
 
 
-def diagram(b: Bipartition) -> set[Node]:
+def _component_diagram(part: Partition, a: int) -> set[Node]:
     out = set()
-    for a in (1, 2):
-        for r, part in enumerate(b.comp(a), start=1):
-            for c in range(1, part + 1):
-                out.add(Node(r, c, a))
+    for r, width in enumerate(part, start=1):
+        for c in range(1, width + 1):
+            out.add(Node(r, c, a))
     return out
+
+
+def diagram(b: Bipartition) -> set[Node]:
+    return _component_diagram(b.comp1, 1) | _component_diagram(b.comp2, 2)
 
 
 def addable_nodes(b: Bipartition) -> list[Node]:
@@ -243,14 +243,6 @@ def _beta_set(part: Partition, k: int) -> frozenset[int]:
 def _partition_from_beta(beta, k: int) -> Partition:
     vals = sorted(beta, reverse=True)
     return Partition(v - k + r for r, v in enumerate(vals, start=1))
-
-
-def _component_diagram(part: Partition, a: int) -> set[Node]:
-    out = set()
-    for r, width in enumerate(part, start=1):
-        for c in range(1, width + 1):
-            out.add(Node(r, c, a))
-    return out
 
 
 def rim_hooks(b: Bipartition, length: Optional[int] = None) -> list[RimHook]:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    Bipartition, EMPTY_BIP, Node, Params, boundary_nodes, conjugate,
-    dominates, remove_node, add_node,
+    Bipartition, EMPTY_BIP, Node, Params, boundary_nodes, dominates,
+    remove_node, add_node,
 )
 from .blocks import block_key, enumerate_block, weight
 

@@ -10,7 +10,6 @@ the coefficient that feeds the column-by-column bound recursion.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -136,10 +135,6 @@ def order_from_members(members, p: Params) -> JSOrder:
     return JSOrder(tuple(members), strict)
 
 
-def js_order(key: BlockKey, p: Params) -> JSOrder:
-    return order_from_members(enumerate_block(key, p), p)
-
-
 def branch_labels(b: Bipartition, i: int, r: int, p: Params):
     """Bipartitions reached by deleting r removable nodes of residue i."""
     nodes = [nd for nd in removable_nodes(b) if residue(nd, p) == i % p.e]
@@ -208,7 +203,7 @@ def _require_certified(wt: int) -> None:
                          "certified up to weight 3")
 
 
-def matrix_from_members(members, p: Params, workers: int | None = None) -> DecompMatrix:
+def matrix_from_members(members, p: Params) -> DecompMatrix:
     """Solve the bound recursion over an explicitly given block."""
     rows = tuple(canonical_sort(members))
     _require_certified(weight(rows[0], p))
@@ -220,15 +215,7 @@ def matrix_from_members(members, p: Params, workers: int | None = None) -> Decom
         if v:
             by_row[a][b] = v
     ascending = tuple(reversed(rows))
-
-    def solve(mu):
-        return _solve_column(ascending, by_row, mu, p)
-
-    if workers:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(solve, cols))
-    else:
-        solved = [solve(mu) for mu in cols]
+    solved = [_solve_column(ascending, by_row, mu, p) for mu in cols]
     entries = tuple(tuple(solved[c][0][lam] for c in range(len(cols)))
                     for lam in rows)
     jbounds = tuple(tuple(solved[c][1][lam] for c in range(len(cols)))
@@ -239,9 +226,8 @@ def matrix_from_members(members, p: Params, workers: int | None = None) -> Decom
     return DecompMatrix(key, rows, cols, entries, jbounds, flags)
 
 
-def decomposition_matrix(key: BlockKey, p: Params,
-                         workers: int | None = None) -> DecompMatrix:
+def decomposition_matrix(key: BlockKey, p: Params) -> DecompMatrix:
     """The block's matrix. A block of weight above 3 is refused before its
     members are enumerated."""
     _require_certified(block_weight(key, p))
-    return matrix_from_members(enumerate_block(key, p), p, workers)
+    return matrix_from_members(enumerate_block(key, p), p)

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -9,8 +14,8 @@ from bipblocks.blocks import block_key, classify_type
 from bipblocks import blocks, js
 from bipblocks.js import decomposition_matrix
 from bipblocks.cli import (
-    CACHE_ENV, CASES, main, parse, serialize, verify_case, verify_all,
-    cached_matrix, VerifyReport, Check,
+    CACHE_ENV, CASES, main, parse, serialize, verify_case, cached_matrix,
+    VerifyReport, Check,
 )
 from helpers import small_bips
 
@@ -89,11 +94,17 @@ class TestVerifier:
         with pytest.raises(ValueError, match="parameters"):
             verify_case(CASES["III-1"], 5, (0, 1, 1, 2))
 
-    def test_verify_all_workers_agree(self):
-        serial = verify_all()
-        threaded = verify_all(workers=4)
-        assert serial == threaded
-        assert all(rep.overall for rep in serial)
+    def test_verify_all_json(self):
+        res = run("verify", "--all", "--format", "json")
+        assert res.exit_code == 0
+        decoder, text, docs, pos = json.JSONDecoder(), res.output, [], 0
+        while pos < len(text):
+            doc, pos = decoder.raw_decode(text, pos)
+            docs.append(doc)
+            pos += 1  # each report ends with a newline
+        assert [d["caseId"] for d in docs] == sorted(CASES)
+        assert len(docs) == 34
+        assert all(d["overall"] is True for d in docs)
 
 
 class TestCommands:
@@ -201,14 +212,41 @@ class TestCommands:
     @pytest.mark.parametrize("content", [
         "[3,4,3]", "[2,3,3,2,0]", "[2,3,-1,6]", "[2,3,3,3]",
     ])
-    @pytest.mark.parametrize("command", [["decomp"], ["block", "enumerate"]])
+    @pytest.mark.parametrize("command", [["decomp", "--no-cache"],
+                                         ["block", "enumerate"]])
     def test_malformed_block_key(self, command, content):
         doc = ('{"e":4,"kappa":[0,3],"charp":0,"n":10,'
                f'"content":{content}}}')
-        res = run(*command, "--block", doc, "--no-cache")
+        res = run(*command, "--block", doc)
         assert res.exit_code == 1
         assert res.output == ("error: empty block: no bipartition has "
                               "this content\n")
+
+    # values int() would truncate or reinterpret, and shapes it cannot take
+    @pytest.mark.parametrize("command, doc, field", [
+        ("block enumerate", '"n":10.9,"content":[2,3,3,2]', "n"),
+        ("block enumerate", '"n":10,"content":[2.9,3,3,2]', "content"),
+        ("block enumerate", '"n":10,"content":"2332"', "content"),
+        ("block enumerate", '"n":10,"content":5', "content"),
+        ("bip info", '"comp1":[4.7],"comp2":[4,1,1]', "comp1"),
+        ("bip info", '"comp1":[true],"comp2":[4,1,1]', "comp1"),
+        ("bip info", '"comp1":["4"],"comp2":[4,1,1]', "comp1"),
+        ("bip info", '"comp1":[4],"comp2":[4,1,1],"e":4.6', "e"),
+        ("bip info", '"comp1":[4],"comp2":[4,1,1],"charp":"0"', "charp"),
+        ("bip info", '"comp1":[4],"comp2":[4,1,1],"kappa":[0.5,3]', "kappa"),
+        ("bip info", '"comp1":[4],"comp2":[4,1,1],"kappa":"03"', "kappa"),
+        ("bip info", '"comp1":[4],"comp2":[4,1,1],"kappa":[0,3,1]',
+         "kappa"),
+    ], ids=["n-float", "content-float", "content-string", "content-int",
+            "comp1-float", "comp1-bool", "comp1-string", "e-float",
+            "charp-string", "kappa-float", "kappa-string", "kappa-three"])
+    def test_non_integer_field(self, command, doc, field):
+        base = {"e": 4, "kappa": [0, 3], "charp": 0}
+        full = json.dumps({**base, **json.loads("{" + doc + "}")})
+        flag = "--block" if command == "block enumerate" else "--bip"
+        res = run(*command.split(), flag, full)
+        assert res.exit_code == 1
+        assert res.output.startswith(f"error: field {field} must be ")
 
     def test_heavy_block_refused_before_enumeration(self, tmp_path,
                                                     monkeypatch):
@@ -254,3 +292,84 @@ class TestCache:
         again = cached_matrix(key, p)
         assert first == again
         assert cached_matrix(key, p, use_cache=False) == first
+
+
+class TestGoldenTables:
+    """``--format table`` output on H5DOC, byte for byte; the decomp
+    table is also the README example."""
+
+    GOLDEN = {
+        "bip info": (
+            "bipartition: (-|2,1,1,1)\nn: 5\ncontent: [3, 2]\nweight: 3\n"
+            "restricted: True\nregular: False\n"),
+        "bip diamond": "(4,1|-)\n",
+        "block info": (
+            "n: 5\ncontent: [3, 2]\nweight: 3\ntype: IV\ncore: False\n"
+            "nucleus: (1|1)\nzSet: [0, 1]\ntypeParams: [0, 0, 0, 0, 0]\n"),
+        "block enumerate": (
+            "(4,1|-)\n(2,1,1,1|-)\n(2,1|2)\n(2,1|1,1)\n(2|2,1)\n"
+            "(1,1|2,1)\n(-|4,1)\n(-|2,1,1,1)\n"),
+        "block exceptional": (
+            "hook(0, 0, 1)  (2|2,1)\nhook(0, 1, 1)  (1,1|2,1)\n"
+            "hook(1, 0, 2)  (2,1|2)\nhook(1, 1, 2)  (2,1|1,1)\n"),
+        "js order": "".join(f"{a} > {b}\n" for a, b in [
+            ("(4,1|-)", "(2,1,1,1|-)"), ("(4,1|-)", "(2,1|2)"),
+            ("(4,1|-)", "(2,1|1,1)"), ("(4,1|-)", "(2|2,1)"),
+            ("(4,1|-)", "(1,1|2,1)"), ("(4,1|-)", "(-|4,1)"),
+            ("(4,1|-)", "(-|2,1,1,1)"), ("(2,1,1,1|-)", "(2,1|1,1)"),
+            ("(2,1,1,1|-)", "(2|2,1)"), ("(2,1,1,1|-)", "(1,1|2,1)"),
+            ("(2,1,1,1|-)", "(-|4,1)"), ("(2,1,1,1|-)", "(-|2,1,1,1)"),
+            ("(2,1|2)", "(2,1|1,1)"), ("(2,1|2)", "(2|2,1)"),
+            ("(2,1|2)", "(1,1|2,1)"), ("(2,1|2)", "(-|4,1)"),
+            ("(2,1|2)", "(-|2,1,1,1)"), ("(2,1|1,1)", "(2|2,1)"),
+            ("(2,1|1,1)", "(1,1|2,1)"), ("(2,1|1,1)", "(-|4,1)"),
+            ("(2,1|1,1)", "(-|2,1,1,1)"), ("(2|2,1)", "(1,1|2,1)"),
+            ("(2|2,1)", "(-|4,1)"), ("(2|2,1)", "(-|2,1,1,1)"),
+            ("(1,1|2,1)", "(-|2,1,1,1)"), ("(-|4,1)", "(-|2,1,1,1)"),
+        ]),
+        "decomp": (
+            "             (1,1|2,1)  (-|2,1,1,1)\n"
+            "    (4,1|-)          0           1*\n"
+            "(2,1,1,1|-)          0           1*\n"
+            "    (2,1|2)         1*           1*\n"
+            "  (2,1|1,1)         1*            1\n"
+            "    (2|2,1)          1           1*\n"
+            "  (1,1|2,1)          1            1\n"
+            "    (-|4,1)          0            1\n"
+            "(-|2,1,1,1)          0            1\n"
+            "(* entry clamped from a larger bound)\n"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_table(self, command, tmp_path):
+        res = run(*command.split(), "--bip", H5DOC, "--format", "table",
+                  env={CACHE_ENV: str(tmp_path)})
+        assert res.exit_code == 0
+        assert res.output == self.GOLDEN[command]
+
+    def test_decomp_matches_readme(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert self.GOLDEN["decomp"] in readme
+
+
+def test_benchmark_bindings_are_traced():
+    """The benchmark wraps module-level names from outside the package; a
+    renamed or removed binding would silently drop its spans."""
+    root = Path(__file__).resolve().parents[1]
+    script = textwrap.dedent("""
+        import json
+        import spans
+        from bipblocks import cli
+        tracer = spans.Tracer()
+        spans.instrument(tracer)
+        cli.verify_case(cli.CASES["IV-e2-H5"])
+        print(json.dumps(sorted({s[0] for s in tracer.spans})))
+    """)
+    path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
+    res = subprocess.run([sys.executable, "-c", script], cwd=root,
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    names = set(json.loads(res.stdout))
+    assert {"cli.verify_case", "js.matrix_from_members",
+            "blocks.family_from_type_params"} <= names

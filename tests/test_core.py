@@ -30,6 +30,16 @@ class TestPartition:
         assert Partition(()).conjugate() == ()
 
 
+class TestBipartitionStr:
+    @pytest.mark.parametrize("b, text", [
+        (bip((4, 1), ()), "(4,1|-)"),
+        (bip((), (2, 1, 1, 1)), "(-|2,1,1,1)"),
+        (EMPTY_BIP, "(-|-)"),
+    ])
+    def test_cli_form(self, b, text):
+        assert str(b) == text
+
+
 class TestResidue:
     def test_corner_is_kappa(self):
         p = Params.make(4, (1, 3))

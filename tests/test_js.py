@@ -147,12 +147,6 @@ class TestMatrixBasics:
         for mu in m.cols:
             assert m.entry(mu, mu) == 1 and m.flag(mu, mu) == "direct"
 
-    def test_workers_agree(self):
-        fam = family_from_type_params("II", 4, (0, 0, 1, 2))
-        serial = matrix_from_members(fam.members(), fam.params)
-        parallel = matrix_from_members(fam.members(), fam.params, workers=4)
-        assert serial == parallel
-
 
 class TestTwoRectangleColumn:
     """The distinguished column of the two-rectangle family at its
