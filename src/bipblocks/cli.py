@@ -584,6 +584,13 @@ def _parse_kappa(text: str) -> tuple[int, int]:
         raise click.UsageError("--kappa takes two comma-separated integers")
 
 
+def _parse_params(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise click.UsageError("--params takes comma-separated integers")
+
+
 def _resolve(doc: Optional[dict], e, kappa, charp) -> Params:
     doc = doc or {}
     if e is None and "e" in doc:
@@ -856,9 +863,7 @@ def verify(case_id, e, params, run_all, list_cases, fmt):
         elif case_id is not None:
             if case_id not in CASES:
                 raise click.UsageError(f"unknown case {case_id}")
-            window = None
-            if params is not None:
-                window = tuple(int(x) for x in params.split(","))
+            window = None if params is None else _parse_params(params)
             reports = [verify_case(CASES[case_id], e, window)]
         else:
             raise click.UsageError("supply --case, --all or --list")

@@ -9,6 +9,11 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 
+class InvariantError(RuntimeError):
+    """A mathematical invariant failed. The message names the phase and
+    the bipartition; unlike an ``assert``, the check survives ``python -O``."""
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -65,13 +65,23 @@ def _cancel(raw, first: str, second: str):
     return tuple(out)
 
 
+def _raw_signatures(b: Bipartition, p: Params) -> list[list[tuple[Node, str]]]:
+    """The raw i-signature of every residue i, from one boundary scan:
+    (node, "+") for addable and (node, "-") for removable i-nodes, in
+    reading order (component, then row)."""
+    add, rem = boundary_nodes(b, p)
+    entries = [(nd, r, "+") for nd, r in add]
+    entries += [(nd, r, "-") for nd, r in rem]
+    entries.sort(key=lambda item: (item[0].component, item[0].row))
+    raw = [[] for _ in range(p.e)]
+    for nd, r, sign in entries:
+        raw[r].append((nd, sign))
+    return raw
+
+
 def signature(b: Bipartition, i: int, p: Params) -> SignatureReport:
     i %= p.e
-    add, rem = boundary_nodes(b, p)
-    entries = [(nd, "+") for nd, r in add if r == i]
-    entries += [(nd, "-") for nd, r in rem if r == i]
-    entries.sort(key=lambda item: (item[0].component, item[0].row))
-    raw = tuple(entries)
+    raw = tuple(_raw_signatures(b, p)[i])
     reduced = _cancel(raw, "-", "+")
     antireduced = _cancel(raw, "+", "-")
     normal = tuple(nd for nd, s in reduced if s == "-")
@@ -89,19 +99,22 @@ def signature(b: Bipartition, i: int, p: Params) -> SignatureReport:
 
 
 def _next_good(b: Bipartition, p: Params):
-    """Good node for the smallest residue that has one, with its residue."""
-    for i in range(p.e):
-        rep = signature(b, i, p)
-        if rep.good is not None:
-            return i, rep.good
+    """Good node for the smallest residue that has one, with its residue:
+    the first normal node of the reduced signature."""
+    for i, raw in enumerate(_raw_signatures(b, p)):
+        for nd, sign in _cancel(raw, "-", "+"):
+            if sign == "-":
+                return i, nd
     return None
 
 
 def _next_antigood(b: Bipartition, p: Params):
-    for i in range(p.e):
-        rep = signature(b, i, p)
-        if rep.antigood is not None:
-            return i, rep.antigood
+    """Antigood node for the smallest residue that has one: the last
+    antinormal node of the antireduced signature."""
+    for i, raw in enumerate(_raw_signatures(b, p)):
+        for nd, sign in reversed(_cancel(raw, "+", "-")):
+            if sign == "-":
+                return i, nd
     return None
 
 

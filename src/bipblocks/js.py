@@ -10,12 +10,13 @@ the coefficient that feeds the column-by-column bound recursion.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .core import (
-    Bipartition, Params, RimHook, canonical_sort, diagram, dominates,
-    removable_nodes, remove_node, residue, rim_hooks,
+    Bipartition, InvariantError, Params, RimHook, canonical_sort, diagram,
+    dominates, removable_nodes, remove_node, residue, rim_hooks,
 )
 from .blocks import (
     BlockKey, block_weight, content_counts, enumerate_block, weight,
@@ -49,7 +50,10 @@ def _pair_valuation(L: RimHook, N: RimHook, p: Params) -> int:
     if offset % p.e != 0:
         return 0
     k = abs(offset) // p.e
-    assert k != 0, "coincident hands would force equal bipartitions"
+    if k == 0:
+        raise InvariantError(
+            f"hook-pair valuation: hooks {L.nodes} and {N.nodes} share the "
+            f"hand {hl}, which forces equal bipartitions")
     if k == 1:
         return 1
     if p.charp == 0:
@@ -65,6 +69,10 @@ def _pair_valuation(L: RimHook, N: RimHook, p: Params) -> int:
     return mult
 
 
+def _epsilon(L: RimHook, N: RimHook) -> int:
+    return -1 if (L.leg_length - N.leg_length) % 2 else 1
+
+
 def _pairs_from_data(data_l, data_n, p: Params) -> list[HookPair]:
     out = []
     for L, comp_l in data_l:
@@ -73,8 +81,8 @@ def _pairs_from_data(data_l, data_n, p: Params) -> list[HookPair]:
                 continue
             if residue(L.hand, p) != residue(N.hand, p):
                 continue
-            eps = -1 if (L.leg_length - N.leg_length) % 2 else 1
-            out.append(HookPair(L, N, eps, _pair_valuation(L, N, p)))
+            out.append(HookPair(L, N, _epsilon(L, N),
+                                _pair_valuation(L, N, p)))
     return out
 
 
@@ -94,15 +102,28 @@ def js_valuation(lam: Bipartition, nu: Bipartition, p: Params) -> int:
 
 
 def _valuation_table(members, p: Params) -> dict:
-    data = {m: _hook_data(m) for m in members}
-    table = {}
-    for a, b in combinations(members, 2):
-        # canonical order sorts most dominant first
-        if not dominates(a, b):
-            continue
-        table[(a, b)] = sum(pair.epsilon * pair.valuation
-                            for pair in _pairs_from_data(data[a], data[b], p))
-    return table
+    """The nonzero signed valuation sums of the dominating pairs (a, b),
+    a before b in ``members`` (canonical order, most dominant first).
+
+    A hash join: every hook is bucketed under (complement, hand residue),
+    and hooks are paired only within a bucket. Dominance is tested before
+    any valuation of a member pair is taken.
+    """
+    buckets = defaultdict(list)
+    for i, m in enumerate(members):
+        for h, rest in _hook_data(m):
+            buckets[(rest, residue(h.hand, p))].append((i, h))
+    dominating, sums = {}, defaultdict(int)
+    for bucket in buckets.values():
+        # a complement and its hook give back the member, so a bucket
+        # holds at most one hook per member, in member order: i < j
+        for (i, L), (j, N) in combinations(bucket, 2):
+            if (i, j) not in dominating:
+                dominating[i, j] = dominates(members[i], members[j])
+            if dominating[i, j]:
+                sums[i, j] += _epsilon(L, N) * _pair_valuation(L, N, p)
+    return {(members[i], members[j]): v
+            for (i, j), v in sorted(sums.items()) if v}
 
 
 @dataclass(frozen=True)
@@ -118,20 +139,23 @@ class JSOrder:
 
 def order_from_members(members, p: Params) -> JSOrder:
     members = canonical_sort(members)
-    table = _valuation_table(members, p)
     edges = {m: [] for m in members}
-    for (a, b), v in table.items():
-        if v != 0:
-            edges[a].append(b)
+    for a, b in _valuation_table(members, p):
+        edges[a].append(b)
     below = {}
     for m in reversed(members):  # ascending dominance: successors first
         reach = set()
         for b in edges[m]:
+            # every edge runs down the canonical order, so none closes a
+            # cycle and every successor is already done
+            if b not in below:
+                raise InvariantError(
+                    f"refined order: the step {m} -> {b} runs against the "
+                    "canonical order and could close a cycle")
             reach.add(b)
             reach |= below[b]
         below[m] = reach
     strict = frozenset((a, b) for a in members for b in below[a])
-    assert not any((b, a) in strict for a, b in strict), "order has a cycle"
     return JSOrder(tuple(members), strict)
 
 
@@ -167,8 +191,18 @@ class DecompMatrix:
     jbounds: tuple[tuple[int, ...], ...]
     flags: tuple[tuple[str, ...], ...]
 
+    # position of each row and column, for O(1) cell lookups
+    _row_at: dict = field(init=False, repr=False, compare=False)
+    _col_at: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_row_at",
+                           {b: r for r, b in enumerate(self.rows)})
+        object.__setattr__(self, "_col_at",
+                           {b: c for c, b in enumerate(self.cols)})
+
     def _at(self, lam: Bipartition, mu: Bipartition) -> tuple[int, int, str]:
-        r, c = self.rows.index(lam), self.cols.index(mu)
+        r, c = self._row_at[lam], self._col_at[mu]
         return self.entries[r][c], self.jbounds[r][c], self.flags[r][c]
 
     def entry(self, lam: Bipartition, mu: Bipartition) -> int:
@@ -188,9 +222,13 @@ def _solve_column(ascending, by_row, mu, p: Params):
             dn[lam], bounds[lam], flags[lam] = 1, 1, "direct"
             continue
         j = sum(v * dn[nu] for nu, v in by_row[lam].items() if dn[nu])
-        assert j >= 0, f"negative bound {j} at {lam}"
-        if j > 0:
-            assert dominates(lam, mu), "nonzero bound off the dominance cone"
+        if j < 0:
+            raise InvariantError(
+                f"column solve of {mu}: negative bound {j} at {lam}")
+        if j > 0 and not dominates(lam, mu):
+            raise InvariantError(
+                f"column solve of {mu}: nonzero bound {j} at {lam}, which "
+                "does not dominate it")
         dn[lam] = 1 if j > 0 else 0
         bounds[lam] = j
         flags[lam] = "clamped" if j >= 2 else "direct"
@@ -208,12 +246,10 @@ def matrix_from_members(members, p: Params) -> DecompMatrix:
     rows = tuple(canonical_sort(members))
     _require_certified(weight(rows[0], p))
     cols = tuple(m for m in rows if is_restricted(m, p)[0])
-    table = _valuation_table(rows, p)
     # group the table by dominating member so each column scan is linear
     by_row = {m: {} for m in rows}
-    for (a, b), v in table.items():
-        if v:
-            by_row[a][b] = v
+    for (a, b), v in _valuation_table(rows, p).items():
+        by_row[a][b] = v
     ascending = tuple(reversed(rows))
     solved = [_solve_column(ascending, by_row, mu, p) for mu in cols]
     entries = tuple(tuple(solved[c][0][lam] for c in range(len(cols)))

@@ -202,6 +202,11 @@ class TestCommands:
         assert res.exit_code == 1
         assert "violates" in res.output
 
+    def test_verify_params_not_integers(self):
+        res = run("verify", "--case", "III-8", "--params", "0,2,x,3,3")
+        assert res.exit_code == 2
+        assert "--params takes comma-separated integers" in res.output
+
     def test_exit_codes(self):
         assert run("decomp").exit_code == 2  # usage: no input
         bad = '{"e":2,"kappa":[0,0],"charp":0,"comp1":[],"comp2":[4]}'

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +10,8 @@ from bipblocks.core import (
 from bipblocks.blocks import block_key, enumerate_block, weight, \
     family_from_type_params
 from bipblocks.crystal import (
-    signature, is_restricted, is_regular, mu_diamond,
+    StripTrace, signature, is_restricted, is_regular, mu_diamond,
+    _next_antigood, _next_good,
 )
 from helpers import small_bips, params_st, bips_of
 
@@ -195,3 +198,32 @@ class TestCrystalOracles:
                     anti = signature(lam_d, i, p).antigood
                     assert anti is not None
                     assert remove_node(lam_d, anti) == mu_diamond(mu, p)
+
+
+class TestOneScanOracle:
+    """The one-scan good and antigood searches against full signatures."""
+
+    @pytest.mark.parametrize("e", [2, 3, 4, 5])
+    def test_every_small_bipartition(self, e):
+        for kappa in product(range(e), repeat=2):
+            p = Params.make(e, kappa)
+            strips = {}
+            for n in range(9):  # ascending size: a strip step is known
+                for b in bips_of(n):
+                    good = anti = None
+                    for i in range(e):
+                        rep = signature(b, i, p)
+                        if good is None and rep.good is not None:
+                            good = (i, rep.good)
+                        if anti is None and rep.antigood is not None:
+                            anti = (i, rep.antigood)
+                    assert _next_good(b, p) == good, (b, p)
+                    assert _next_antigood(b, p) == anti, (b, p)
+                    if good is None:
+                        strips[b] = StripTrace((), b)
+                    else:
+                        rest = strips[remove_node(b, good[1])]
+                        strips[b] = StripTrace((good[0],) + rest.residues,
+                                               rest.terminal)
+                    want = (strips[b].terminal == EMPTY_BIP, strips[b])
+                    assert is_restricted(b, p) == want, (b, p)

@@ -1,18 +1,27 @@
 import warnings
+from collections import defaultdict
+from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
 
-from bipblocks.core import Params, bip, dominates, EMPTY_BIP, canonical_sort
+from bipblocks import js
+from bipblocks.core import (
+    InvariantError, Params, bip, dominates, EMPTY_BIP, canonical_sort,
+    rim_hooks,
+)
 from bipblocks.blocks import (
-    block_key, enumerate_block, family_from_type_params, weight,
+    block_key, content_counts, enumerate_block, family_from_type_params,
+    weight,
 )
 from bipblocks.crystal import is_restricted
 from bipblocks.js import (
-    CharacteristicWarning, hook_pairs, js_valuation, order_from_members,
-    branch_labels, branch_epsilon, matrix_from_members, decomposition_matrix,
+    CharacteristicWarning, DecompMatrix, hook_pairs, js_valuation,
+    order_from_members, branch_labels, branch_epsilon, matrix_from_members,
+    decomposition_matrix, _pair_valuation, _solve_column, _valuation_table,
 )
-from helpers import small_bips, params_st
+from helpers import bips_of, small_bips, params_st
 
 
 class TestHookPairs:
@@ -65,6 +74,101 @@ class TestHookPairs:
         fwd = sum(pr.epsilon * pr.valuation for pr in hook_pairs(a, b, p))
         bwd = sum(pr.epsilon * pr.valuation for pr in hook_pairs(b, a, p))
         assert fwd == bwd
+
+
+def _small_blocks(p, max_n=8):
+    """Every block of bipartitions of size at most max_n, canonically
+    sorted."""
+    for n in range(max_n + 1):
+        groups = defaultdict(list)
+        for b in bips_of(n):
+            groups[content_counts(b, p)].append(b)
+        for members in groups.values():
+            yield tuple(canonical_sort(members))
+
+
+def _recorded(fn):
+    """fn's result and the set of warning messages it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn()
+    return value, {str(w.message) for w in caught}
+
+
+def _all_pairs_table(members, p):
+    """The nonzero entries of the all-pairs loop the hash join replaced."""
+    table = {}
+    for a, b in combinations(members, 2):
+        if dominates(a, b):
+            v = sum(pr.epsilon * pr.valuation for pr in hook_pairs(a, b, p))
+            if v:
+                table[a, b] = v
+    return table
+
+
+class TestValuationTableOracle:
+    @pytest.mark.parametrize("e", [2, 3, 4, 5])
+    def test_every_small_block(self, e, monkeypatch):
+        # rim_hooks is not under test and is most of the cost: both sides
+        # read each member's hook data from one memo
+        monkeypatch.setattr(js, "_hook_data",
+                            lru_cache(maxsize=None)(js._hook_data))
+        charps = [c for c in (0, 2, 3) if c == 0 or e % c]
+        # shifting both charges by one residue relabels residues and keeps
+        # every hook pair and valuation, so the reference is computed once
+        # per charge difference
+        reference, warned = {}, set()
+        for k1, k2 in product(range(e), repeat=2):
+            for members in _small_blocks(Params.make(e, (k1, k2))):
+                for charp in charps:
+                    p = Params.make(e, (k1, k2), charp)
+                    ref_key = (members, (k2 - k1) % e, charp)
+                    if ref_key not in reference:
+                        reference[ref_key] = _recorded(
+                            lambda: _all_pairs_table(members, p))
+                    table, messages = _recorded(
+                        lambda: _valuation_table(members, p))
+                    nonzero = {k: v for k, v in table.items() if v}
+                    assert (nonzero, messages) == reference[ref_key], \
+                        (members, p)
+                    warned |= messages
+        # below n = 9 only e = 2 and 3 have hands 3 or 2 turns apart, a
+        # multiple of a characteristic allowed with them
+        assert bool(warned) == (e in (2, 3))
+
+
+class TestInvariantErrors:
+    P = Params.make(3, (0, 0))
+
+    def test_coincident_hands(self):
+        hook = rim_hooks(bip((2, 1), ()))[0]
+        with pytest.raises(InvariantError, match="hook-pair valuation"):
+            _pair_valuation(hook, hook, self.P)
+
+    def test_negative_bound(self):
+        mu, lam = bip((2,), ()), bip((1, 1), ())
+        by_row = {mu: {}, lam: {mu: -1}}
+        with pytest.raises(InvariantError,
+                           match=r"column solve of \(2\|-\): negative "
+                                 r"bound -1 at \(1,1\|-\)"):
+            _solve_column((mu, lam), by_row, mu, self.P)
+
+    def test_bound_off_dominance_cone(self):
+        mu, lam = bip((2,), ()), bip((1, 1), ())
+        assert not dominates(lam, mu)
+        by_row = {mu: {}, lam: {mu: 1}}
+        with pytest.raises(InvariantError,
+                           match=r"\(1,1\|-\), which does not dominate"):
+            _solve_column((mu, lam), by_row, mu, self.P)
+
+    def test_order_step_against_canonical_order(self, monkeypatch):
+        top, low = bip((2,), ()), bip((1, 1), ())
+        monkeypatch.setattr(js, "_valuation_table",
+                            lambda members, p: {(low, top): 1})
+        with pytest.raises(InvariantError,
+                           match=r"refined order: the step \(1,1\|-\) -> "
+                                 r"\(2\|-\)"):
+            order_from_members([top, low], self.P)
 
 
 class TestOrder:
@@ -146,6 +250,21 @@ class TestMatrixBasics:
         assert set(m.cols) <= set(m.rows)
         for mu in m.cols:
             assert m.entry(mu, mu) == 1 and m.flag(mu, mu) == "direct"
+
+    def test_cell_lookups_match_tables(self):
+        # the default window of a type-III catalogue case
+        fam = family_from_type_params("III", 5, (0, 2, 3, 3, 3))
+        m = matrix_from_members(fam.members(), fam.params)
+        for r, lam in enumerate(m.rows):
+            for c, mu in enumerate(m.cols):
+                assert m.entry(lam, mu) == m.entries[r][c]
+                assert m.jbound(lam, mu) == m.jbounds[r][c]
+                assert m.flag(lam, mu) == m.flags[r][c]
+        # the index maps are derived, not part of the value
+        copy = DecompMatrix(m.block, m.rows, m.cols, m.entries, m.jbounds,
+                            m.flags)
+        assert copy == m and hash(copy) == hash(m)
+        assert "_row_at" not in repr(m) and "_col_at" not in repr(m)
 
 
 class TestTwoRectangleColumn:
