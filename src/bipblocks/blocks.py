@@ -14,8 +14,8 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .core import (
-    Bipartition, Params, Partition, boundary_nodes, canonical_sort,
-    diagram, residue,
+    Bipartition, InvariantError, Params, Partition, boundary_nodes,
+    canonical_sort, diagram, residue,
 )
 from .abacus import (
     AbacusDisplay, Bicharge, canonical_bicharge, display, from_display,
@@ -49,10 +49,6 @@ def delta_vector(b: Bipartition, p: Params) -> tuple[int, ...]:
 
 def block_key(b: Bipartition, p: Params) -> tuple[BlockKey, tuple[int, ...]]:
     return BlockKey(b.size, content_counts(b, p)), delta_vector(b, p)
-
-
-def same_block(a: Bipartition, b: Bipartition, p: Params) -> bool:
-    return a.size == b.size and content_counts(a, p) == content_counts(b, p)
 
 
 @dataclass(frozen=True)
@@ -224,8 +220,10 @@ def _family_labels(xi_d: AbacusDisplay, z_set, wt: int, swapped: bool,
         if swapped:
             b = swap_components(b)
         out.append(MemberLabel(kind, args, b))
-    assert len({lab.bipartition for lab in out}) == len(out), \
-        "member labels must be pairwise distinct"
+    if len({lab.bipartition for lab in out}) != len(out):
+        raise InvariantError(
+            f"member labels: two labels of the nucleus "
+            f"{from_display(xi_d)} build the same bipartition")
     return tuple(out)
 
 
@@ -250,6 +248,11 @@ def _shifted(p: Params) -> Params:
 
 def _rep(base: int, t: int, e: int) -> int:
     return base + ((t - base) % e)
+
+
+# Types III and IV share one parameter window (i, j, k, l, m); III's first
+# range starts one step later, at i+1 instead of i.
+_OFFSET = {"III": 1, "IV": 0}
 
 
 def _extract_type_params(xi: Bipartition, p: Params, btype: str):
@@ -284,10 +287,11 @@ def _extract_type_params(xi: Bipartition, p: Params, btype: str):
             return (i, j, k, l)
         return None
 
-    if btype == "III":
+    if btype in _OFFSET:
+        off = _OFFSET[btype]
         if len(rem1) != 1 or len(rem2) != 1:
             return None
-        i = (rem1[0] - 1) % e
+        i = (rem1[0] - off) % e
         if rem2[0] != i:
             return None
         p1, p2 = corner_residues(1), corner_residues(2)
@@ -295,20 +299,7 @@ def _extract_type_params(xi: Bipartition, p: Params, btype: str):
             return None
         j, l = _rep(i, p1[0] - 1, e), _rep(i, p1[1] - 1, e)
         k, m = _rep(i, p2[0] - 1, e), _rep(i, p2[1] - 1, e)
-        if i + 1 <= j <= k <= l <= m <= e + i - 2:
-            return (i, j, k, l, m)
-        return None
-
-    if btype == "IV":
-        if len(rem1) != 1 or len(rem2) != 1 or rem1 != rem2:
-            return None
-        i = rem1[0]
-        p1, p2 = corner_residues(1), corner_residues(2)
-        if p1 is None or p2 is None:
-            return None
-        j, l = _rep(i, p1[0] - 1, e), _rep(i, p1[1] - 1, e)
-        k, m = _rep(i, p2[0] - 1, e), _rep(i, p2[1] - 1, e)
-        if i <= j <= k <= l <= m <= e + i - 2:
+        if i + off <= j <= k <= l <= m <= e + i - 2:
             return (i, j, k, l, m)
         return None
 
@@ -319,12 +310,9 @@ def _z_from_params(btype: str, params: tuple[int, ...], e: int) -> frozenset[int
     if btype == "II":
         i, j, k, l = params
         ranges = [(i, j), (k + 1, l)]
-    elif btype == "III":
-        i, j, k, l, m = params
-        ranges = [(i + 1, j), (k + 1, l), (m + 1, e + i - 1)]
     else:
         i, j, k, l, m = params
-        ranges = [(i, j), (k + 1, l), (m + 1, e + i - 1)]
+        ranges = [(i + _OFFSET[btype], j), (k + 1, l), (m + 1, e + i - 1)]
     out = set()
     for lo, hi in ranges:
         out.update(t % e for t in range(lo, hi + 1))
@@ -420,7 +408,11 @@ def _build_family(member: Bipartition, p: Params,
             for y2 in range(q.e):
                 expect = (1 if (x in z_set and y2 not in z_set)
                           else -1 if (x not in z_set and y2 in z_set) else 0)
-                assert g[x] - g[y2] == expect, "nucleus gamma law violated"
+                if g[x] - g[y2] != expect:
+                    raise InvariantError(
+                        f"nucleus: runners {x} and {y2} of {xi} differ by "
+                        f"{g[x] - g[y2]} in gamma, not {expect}, for Z = "
+                        f"{sorted(z_set)}")
         labels = _family_labels(xi_d, z_set, wt, swapped, q.e)
         out.append(BlockFamily(p, swapped, xi, xi_d, frozenset(z_set),
                                wt, labels))
@@ -435,11 +427,10 @@ def _analyze(key: BlockKey, p: Params):
 def _analyze_member(member: Bipartition, p: Params):
     key = BlockKey(member.size, content_counts(member, p))
     delta = delta_vector(member, p)
-    wt = weight(member, p)
-    start = display(member, p)
-    d, _ = push_up(start)
-    core = (d.beads1 == start.beads1 and d.beads2 == start.beads2
-            and _swap_candidates(gamma_vector(d)) is None)
+    trace = weight_trace(member, p)
+    wt = trace.total
+    # push_up counts no move exactly when no bead moves
+    core = trace.hooks_removed == 0 and not trace.swaps
     btype = _btype(delta)
     family = None
     type_params = None
@@ -535,26 +526,23 @@ def family_from_type_params(btype: str, e: int, params: tuple[int, ...],
             raise ValueError("need i <= j <= k <= l <= e+i-2")
         xi = Bipartition(_rect(j - i + 1, e + i - l - 1), Partition(()))
         kappa = (j + l + 1 - i, k + 2)
-    elif btype == "III":
+    elif btype in _OFFSET:
+        off = _OFFSET[btype]
         i, j, k, l, m = params
-        if not i + 1 <= j <= k <= l <= m <= e + i - 2:
-            raise ValueError("need i+1 <= j <= k <= l <= m <= e+i-2")
-        xi = Bipartition(_rect(j - i, e + i - l),
+        if not i + off <= j <= k <= l <= m <= e + i - 2:
+            raise ValueError(
+                f"need i{'+1' * off} <= j <= k <= l <= m <= e+i-2")
+        xi = Bipartition(_rect(j - i + 1 - off, e + i - l - 1 + off),
                          _rect(k - i + 1, e + i - m - 1))
-        kappa = (j + l - i, k + m + 3 - i)
-    elif btype == "IV":
-        i, j, k, l, m = params
-        if not i <= j <= k <= l <= m <= e + i - 2:
-            raise ValueError("need i <= j <= k <= l <= m <= e+i-2")
-        xi = Bipartition(_rect(j - i + 1, e + i - l - 1),
-                         _rect(k - i + 1, e + i - m - 1))
-        kappa = (j + l - i + 1, k + m + 3 - i)
+        kappa = (j + l - i + 1 - off, k + m + 3 - i)
     else:
         raise ValueError("type must be II, III or IV")
     p = Params.make(e, kappa, charp)
     extracted = _extract_type_params(xi, p, btype)
-    assert extracted == tuple(params), \
-        f"parameter extraction round trip failed: {extracted}"
+    if extracted != tuple(params):
+        raise InvariantError(
+            f"type parameters: the nucleus {xi} of the {btype} window "
+            f"{tuple(params)} reads back as {extracted}")
     ch = canonical_bicharge(xi.size + 6 * e, p)
     xi_d = to_display(xi, p, Bicharge(ch.k1 + 1, ch.k2 - 1))
     z_set = _z_from_params(btype, tuple(params), e)

@@ -184,14 +184,19 @@ def cached_matrix(key: BlockKey, p: Params,
                   use_cache: bool = True) -> DecompMatrix:
     """The block's matrix, read from the content-addressed cache when
     possible. The solver version is part of the key, so entries written
-    by older solvers are simply never hit."""
+    by older solvers are simply never hit. A file that does not parse as
+    a matrix, or holds another block's matrix, is a miss and is
+    overwritten."""
     if not use_cache:
         return decomposition_matrix(key, p)
     path = _cache_path(key, p)
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            value = parse(fh.read())
-        if isinstance(value, DecompMatrix):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                value = parse(fh.read())
+        except (ValueError, KeyError, TypeError):
+            value = None
+        if isinstance(value, DecompMatrix) and value.block == key:
             return value
     matrix = decomposition_matrix(key, p)
     os.makedirs(_cache_dir(), exist_ok=True)
@@ -637,12 +642,17 @@ def _common(fn):
                       help="Ground-field characteristic (default 0).")(fn)
     fn = click.option("--bip", "bip_doc", default=None,
                       help="Bipartition document (JSON, or @file).")(fn)
-    fn = click.option("--block", "block_doc", default=None,
-                      help="Block document (JSON, or @file).")(fn)
     fn = click.option("--format", "fmt",
                       type=click.Choice(["json", "table"]),
                       default="json", help="Output format.")(fn)
     return fn
+
+
+def _block_common(fn):
+    """The common options, and --block for commands about a whole block."""
+    fn = click.option("--block", "block_doc", default=None,
+                      help="Block document (JSON, or @file).")(fn)
+    return _common(fn)
 
 
 def _run(body):
@@ -668,7 +678,7 @@ def bip_group():
 
 @bip_group.command("info")
 @_common
-def bip_info(e, kappa, charp, bip_doc, block_doc, fmt):
+def bip_info(e, kappa, charp, bip_doc, fmt):
     """Size, block, weight and crystal status of a bipartition."""
     def body():
         b, p = _resolve_bip(bip_doc, e, kappa, charp)
@@ -686,7 +696,7 @@ def bip_info(e, kappa, charp, bip_doc, block_doc, fmt):
 
 @bip_group.command("restricted")
 @_common
-def bip_restricted(e, kappa, charp, bip_doc, block_doc, fmt):
+def bip_restricted(e, kappa, charp, bip_doc, fmt):
     """Good-node stripping test, with the residue trace."""
     def body():
         b, p = _resolve_bip(bip_doc, e, kappa, charp)
@@ -701,7 +711,7 @@ def bip_restricted(e, kappa, charp, bip_doc, block_doc, fmt):
 
 @bip_group.command("diamond")
 @_common
-def bip_diamond(e, kappa, charp, bip_doc, block_doc, fmt):
+def bip_diamond(e, kappa, charp, bip_doc, fmt):
     """Regular partner of a restricted bipartition."""
     def body():
         b, p = _resolve_bip(bip_doc, e, kappa, charp)
@@ -719,7 +729,7 @@ def block_group():
 
 
 @block_group.command("info")
-@_common
+@_block_common
 def block_info(e, kappa, charp, bip_doc, block_doc, fmt):
     """Type, nucleus and runner data of a block."""
     def body():
@@ -742,7 +752,7 @@ def block_info(e, kappa, charp, bip_doc, block_doc, fmt):
 
 
 @block_group.command("enumerate")
-@_common
+@_block_common
 def block_enumerate(e, kappa, charp, bip_doc, block_doc, fmt):
     """All members, most dominant first."""
     def body():
@@ -757,7 +767,7 @@ def block_enumerate(e, kappa, charp, bip_doc, block_doc, fmt):
 
 
 @block_group.command("exceptional")
-@_common
+@_block_common
 def block_exceptional(e, kappa, charp, bip_doc, block_doc, fmt):
     """Exceptional members of a weight-3 block, with their labels."""
     def body():
@@ -807,7 +817,7 @@ def js_val(bip_docs, e, kappa, charp, fmt):
 
 
 @js_group.command("order")
-@_common
+@_block_common
 def js_refined_order(e, kappa, charp, bip_doc, block_doc, fmt):
     """Strict relations of the refined order on a block."""
     def body():
@@ -826,7 +836,7 @@ def js_refined_order(e, kappa, charp, bip_doc, block_doc, fmt):
 
 
 @main.command("decomp")
-@_common
+@_block_common
 @click.option("--no-cache", is_flag=True, help="Bypass the matrix cache.")
 def decomp(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
     """Decomposition matrix of a block of weight at most three."""

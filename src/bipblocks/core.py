@@ -250,8 +250,8 @@ def _partition_from_beta(beta, k: int) -> Partition:
     return Partition(v - k + r for r, v in enumerate(vals, start=1))
 
 
-def rim_hooks(b: Bipartition, length: Optional[int] = None) -> list[RimHook]:
-    """All removable rim hooks of b, optionally filtered by length."""
+def rim_hooks(b: Bipartition) -> list[RimHook]:
+    """All removable rim hooks of b."""
     out = []
     for a in (1, 2):
         part = b.comp(a)
@@ -261,10 +261,9 @@ def rim_hooks(b: Bipartition, length: Optional[int] = None) -> list[RimHook]:
         beta = _beta_set(part, k)
         cells = _component_diagram(part, a)
         for x in beta:
-            lengths = [length] if length else range(1, x + 1)
-            for ln in lengths:
+            for ln in range(1, x + 1):
                 y = x - ln
-                if y < 0 or y in beta:
+                if y in beta:
                     continue
                 smaller = _partition_from_beta((beta - {x}) | {y}, k)
                 hook_nodes = cells - _component_diagram(smaller, a)

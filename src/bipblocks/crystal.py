@@ -5,6 +5,10 @@ from top to bottom. Cancelling "-+" pairs singles out the normal nodes
 (and the good node); cancelling "+-" pairs gives the anti variants, which
 drive the dual notion of regular bipartitions and the diamond bijection
 between the two.
+
+Conjugation reverses the reading order, so the antigood nodes of b are the
+good nodes of its conjugate: b is regular exactly when conjugate(b) is
+restricted under the same parameters.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    Bipartition, EMPTY_BIP, Node, Params, boundary_nodes, dominates,
-    remove_node, add_node,
+    Bipartition, EMPTY_BIP, InvariantError, Node, Params, add_node,
+    boundary_nodes, conjugate, dominates, remove_node,
 )
 from .blocks import block_key, enumerate_block, weight
 
@@ -42,10 +46,6 @@ class SignatureReport:
     @property
     def reduced_string(self) -> str:
         return "".join(s for _, s in self.reduced)
-
-    @property
-    def nor(self) -> int:
-        return len(self.normal)
 
 
 @dataclass(frozen=True)
@@ -108,16 +108,6 @@ def _next_good(b: Bipartition, p: Params):
     return None
 
 
-def _next_antigood(b: Bipartition, p: Params):
-    """Antigood node for the smallest residue that has one: the last
-    antinormal node of the antireduced signature."""
-    for i, raw in enumerate(_raw_signatures(b, p)):
-        for nd, sign in reversed(_cancel(raw, "+", "-")):
-            if sign == "-":
-                return i, nd
-    return None
-
-
 def is_restricted(b: Bipartition, p: Params) -> tuple[bool, StripTrace]:
     """Strip good nodes as long as any exist; restricted means the empty
     bipartition is reached."""
@@ -134,15 +124,9 @@ def is_restricted(b: Bipartition, p: Params) -> tuple[bool, StripTrace]:
 
 
 def is_regular(b: Bipartition, p: Params) -> bool:
-    """Strip antigood nodes instead; equivalent to the conjugate being
-    restricted under the same parameters."""
-    cur = b
-    while True:
-        found = _next_antigood(cur, p)
-        if found is None:
-            break
-        cur = remove_node(cur, found[1])
-    return cur == EMPTY_BIP
+    """Stripping antigood nodes reaches the empty bipartition: the good-node
+    strip of the conjugate."""
+    return is_restricted(conjugate(b), p)[0]
 
 
 def _weight_one_diamond(xi: Bipartition, p: Params) -> Bipartition:
@@ -152,7 +136,10 @@ def _weight_one_diamond(xi: Bipartition, p: Params) -> Bipartition:
         raise ValueError("not restricted: dominance-maximal in its block")
     minimal = [m for m in above
                if not any(c != m and dominates(m, c) for c in above)]
-    assert len(minimal) == 1, "weight-1 block not totally ordered above xi"
+    if len(minimal) != 1:
+        raise InvariantError(
+            f"diamond: {len(minimal)} minimal members of the weight-1 block "
+            f"of {xi} dominate it, not one")
     return minimal[0]
 
 
@@ -177,6 +164,9 @@ def mu_diamond(mu: Bipartition, p: Params) -> Bipartition:
         cur = _weight_one_diamond(cur, p)
     for i in reversed(residues):
         rep = signature(cur, i, p)
-        assert rep.anticogood is not None, "anticogood node must exist"
+        if rep.anticogood is None:
+            raise InvariantError(
+                f"diamond: {cur} has no anticogood {i}-node to add on the "
+                f"way back to the partner of {mu}")
         cur = add_node(cur, rep.anticogood)
     return cur

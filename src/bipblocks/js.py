@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .core import (
     Bipartition, InvariantError, Params, RimHook, canonical_sort, diagram,
-    dominates, removable_nodes, remove_node, residue, rim_hooks,
+    dominates, residue, rim_hooks,
 )
 from .blocks import (
     BlockKey, block_weight, content_counts, enumerate_block, weight,
@@ -157,29 +157,6 @@ def order_from_members(members, p: Params) -> JSOrder:
         below[m] = reach
     strict = frozenset((a, b) for a in members for b in below[a])
     return JSOrder(tuple(members), strict)
-
-
-def branch_labels(b: Bipartition, i: int, r: int, p: Params):
-    """Bipartitions reached by deleting r removable nodes of residue i."""
-    nodes = [nd for nd in removable_nodes(b) if residue(nd, p) == i % p.e]
-    if r > len(nodes):
-        raise ValueError(f"only {len(nodes)} removable nodes of residue {i}")
-    out = []
-    for subset in combinations(nodes, r):
-        smaller = b
-        for nd in subset:
-            smaller = remove_node(smaller, nd)
-        out.append(smaller)
-    return canonical_sort(out)
-
-
-def branch_epsilon(b: Bipartition, i: int, p: Params):
-    """The removable-node count for a residue and the full removal."""
-    nodes = [nd for nd in removable_nodes(b) if residue(nd, p) == i % p.e]
-    smaller = b
-    for nd in nodes:
-        smaller = remove_node(smaller, nd)
-    return len(nodes), smaller
 
 
 @dataclass(frozen=True)

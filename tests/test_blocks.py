@@ -1,17 +1,20 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from bipblocks import blocks
 from bipblocks.core import (
-    Params, bip, EMPTY_BIP, boundary_nodes, conjugate, remove_node,
+    InvariantError, Params, bip, EMPTY_BIP, boundary_nodes, conjugate,
+    remove_node,
 )
 from bipblocks.blocks import (
-    BlockKey, block_key, content_counts, delta_vector, same_block,
+    BlockKey, block_key, content_counts, delta_vector,
     weight, weight_trace, enumerate_block, nucleus_and_Z, classify_type,
     exceptional_bips, exceptional_labels, block_family,
     family_from_type_params, constructive_members, swap_components,
-    _member_of, _members,
+    _build_family, _member_of, _members,
 )
 from helpers import small_bips, params_st, bips_of
 
@@ -42,12 +45,6 @@ class TestBlockKey:
     def test_shared_key(self):
         a, b = B32, bip((3, 3, 1, 1), (1, 1))
         assert block_key(a, P43) == block_key(b, P43)
-
-    def test_same_block(self):
-        assert same_block(B32, B32, P43)
-        assert same_block(B32, bip((3, 3, 1, 1), (1, 1)), P43)
-        p = Params.make(4, (0, 2))
-        assert not same_block(bip((1,), ()), bip((), (1,)), p)
 
     @given(small_bips(6), params_st())
     def test_delta_matches_content_rule(self, b, p):
@@ -203,6 +200,51 @@ class TestTypeFamilies:
         assert len(members) == 8
         assert bip((), (2, 1, 1, 1)) in members
         assert bip((2, 1, 1, 1), ()) in members
+
+    @pytest.mark.parametrize("btype,first", [("III", "i+1"), ("IV", "i")])
+    @pytest.mark.parametrize("e", [2, 3, 4, 5, 6])
+    def test_every_window(self, btype, first, e):
+        # j, k, l, m each run one step past both ends of the chain
+        lo = {"III": 1, "IV": 0}[btype]
+        for i in range(e):
+            for j, k, l, m in product(range(i - 1, e + i), repeat=4):
+                params = (i, j, k, l, m)
+                if not i + lo <= j <= k <= l <= m <= e + i - 2:
+                    with pytest.raises(ValueError) as err:
+                        family_from_type_params(btype, e, params)
+                    assert str(err.value) == \
+                        f"need {first} <= j <= k <= l <= m <= e+i-2"
+                    continue
+                fam = family_from_type_params(btype, e, params)
+                members = fam.members()
+                key = key_of(members[0], fam.params)
+                assert members == enumerate_block(key, fam.params), params
+
+
+class TestInvariantErrors:
+    def test_labels_not_distinct(self, monkeypatch):
+        monkeypatch.setattr(blocks, "_apply_label", lambda xi_d, kind, args:
+                            xi_d)
+        with pytest.raises(InvariantError, match=r"member labels: two "
+                           r"labels of the nucleus \(1\|1\) build"):
+            family_from_type_params("IV", 2, (0, 0, 0, 0, 0))
+
+    def test_nucleus_gamma_law(self, monkeypatch):
+        xy_sets = blocks._xy_sets
+        # keep only the low runner: Z loses its high runners
+        monkeypatch.setattr(blocks, "_xy_sets",
+                            lambda g: (frozenset(), xy_sets(g)[1]))
+        with pytest.raises(InvariantError, match=r"nucleus: runners \d+ "
+                           r"and \d+ of \(2\|1,1\) differ by"):
+            _build_family(B32, P43, 3)
+
+    def test_type_parameter_round_trip(self, monkeypatch):
+        monkeypatch.setattr(blocks, "_extract_type_params",
+                            lambda xi, p, btype: None)
+        with pytest.raises(InvariantError, match=r"type parameters: the "
+                           r"nucleus \(1\|1\) of the IV window "
+                           r"\(0, 0, 0, 0, 0\) reads back as None"):
+            family_from_type_params("IV", 2, (0, 0, 0, 0, 0))
 
 
 class TestClassify:

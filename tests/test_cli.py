@@ -15,7 +15,7 @@ from bipblocks import blocks, js
 from bipblocks.js import decomposition_matrix
 from bipblocks.cli import (
     CACHE_ENV, CASES, main, parse, serialize, verify_case, cached_matrix,
-    VerifyReport, Check,
+    VerifyReport, Check, _cache_path,
 )
 from helpers import small_bips
 
@@ -207,6 +207,14 @@ class TestCommands:
         assert res.exit_code == 2
         assert "--params takes comma-separated integers" in res.output
 
+    @pytest.mark.parametrize("command", [["bip", "info"],
+                                         ["bip", "restricted"],
+                                         ["bip", "diamond"]])
+    def test_block_option_only_on_block_commands(self, command):
+        res = run(*command, "--bip", H5DOC, "--block", '{"n":99}')
+        assert res.exit_code == 2
+        assert "No such option" in res.output and "--block" in res.output
+
     def test_exit_codes(self):
         assert run("decomp").exit_code == 2  # usage: no input
         bad = '{"e":2,"kappa":[0,0],"charp":0,"comp1":[],"comp2":[4]}'
@@ -297,6 +305,29 @@ class TestCache:
         again = cached_matrix(key, p)
         assert first == again
         assert cached_matrix(key, p, use_cache=False) == first
+
+    H5 = Params.make(2, (1, 1))
+    H5KEY = block_key(bip((), (2, 1, 1, 1)), H5)[0]
+
+    def _decomp_over(self, tmp_path, text):
+        """decomp of H5DOC with ``text`` already in its cache file."""
+        path = tmp_path / os.path.basename(_cache_path(self.H5KEY, self.H5))
+        path.write_text(text, encoding="utf-8")
+        res = run("decomp", "--bip", H5DOC, env={CACHE_ENV: str(tmp_path)})
+        plain = run("decomp", "--bip", H5DOC, "--no-cache")
+        assert res.exit_code == 0
+        assert res.output == plain.output
+        # the miss was recomputed and written over the bad file
+        assert path.read_text(encoding="utf-8") == plain.output
+
+    def test_other_blocks_matrix_is_a_miss(self, tmp_path):
+        other = block_key(bip((1,), ()), self.H5)[0]
+        self._decomp_over(tmp_path,
+                          serialize(decomposition_matrix(other, self.H5)))
+
+    def test_truncated_file_is_a_miss(self, tmp_path):
+        full = serialize(decomposition_matrix(self.H5KEY, self.H5))
+        self._decomp_over(tmp_path, full[:len(full) // 2])
 
 
 class TestGoldenTables:

@@ -157,12 +157,6 @@ class TestRimHooks:
                       for h in hooks)
         assert data == [(1, 2, 2, 0), (2, 1, 2, 1), (2, 2, 2, 0), (3, 1, 2, 1)]
 
-    def test_length_filter(self):
-        b = bip((2, 1, 1, 1, 1), (4,))
-        all_hooks = rim_hooks(b)
-        fours = rim_hooks(b, length=4)
-        assert fours == [h for h in all_hooks if h.length == 4]
-
     @given(small_bips(7))
     def test_removal_is_valid(self, b):
         for h in rim_hooks(b):

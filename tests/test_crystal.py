@@ -1,17 +1,19 @@
+import dataclasses
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from bipblocks import crystal
 from bipblocks.core import (
-    Params, Node, bip, EMPTY_BIP, conjugate, is_e_restricted, add_node,
-    remove_node,
+    InvariantError, Params, Node, bip, EMPTY_BIP, conjugate,
+    is_e_restricted, add_node, remove_node,
 )
 from bipblocks.blocks import block_key, enumerate_block, weight, \
     family_from_type_params
 from bipblocks.crystal import (
     StripTrace, signature, is_restricted, is_regular, mu_diamond,
-    _next_antigood, _next_good,
+    _next_good, _weight_one_diamond,
 )
 from helpers import small_bips, params_st, bips_of
 
@@ -49,7 +51,6 @@ class TestSignature:
             rep = signature(b, i, p)
             signs = [s for _, s in rep.reduced]
             assert signs == sorted(signs)  # "+" < "-"
-            assert rep.nor == len(rep.normal)
 
     @given(small_bips(7), params_st())
     def test_adjunction(self, b, p):
@@ -118,10 +119,6 @@ class TestRegular:
     def test_h5_partner(self):
         assert is_regular(bip((4, 1), ()), Params.make(2, (1, 1)))
 
-    @given(small_bips(7), params_st())
-    def test_matches_conjugate_restricted(self, b, p):
-        assert is_regular(b, p) == is_restricted(conjugate(b), p)[0]
-
 
 class TestDiamond:
     def test_weight_zero_fixed(self):
@@ -155,6 +152,27 @@ class TestDiamond:
     def test_result_regular(self, b, p):
         if is_restricted(b, p)[0]:
             assert is_regular(mu_diamond(b, p), p)
+
+    def test_weight_one_base_without_unique_cover(self, monkeypatch):
+        xi = bip((), (1,))
+        p = Params.make(2, (0, 0))
+        monkeypatch.setattr(crystal, "enumerate_block", lambda key, q: [
+            bip((2,), ()), bip((1, 1), ()), xi])
+        # both others dominate xi, and neither dominates the other
+        monkeypatch.setattr(crystal, "dominates", lambda a, b: b == xi)
+        with pytest.raises(InvariantError, match=r"diamond: 2 minimal "
+                           r"members of the weight-1 block of \(-\|1\)"):
+            _weight_one_diamond(xi, p)
+
+    def test_missing_anticogood_node(self, monkeypatch):
+        real = crystal.signature
+        monkeypatch.setattr(crystal, "signature", lambda b, i, p:
+                            dataclasses.replace(real(b, i, p),
+                                                anticogood=None))
+        with pytest.raises(InvariantError, match=r"diamond: .* has no "
+                           r"anticogood \d-node to add on the way back to "
+                           r"the partner of \(-\|2,1,1,1\)"):
+            mu_diamond(bip((), (2, 1, 1, 1)), Params.make(2, (1, 1)))
 
 
 def grow_closure(n, p):
@@ -201,13 +219,14 @@ class TestCrystalOracles:
 
 
 class TestOneScanOracle:
-    """The one-scan good and antigood searches against full signatures."""
+    """The one-scan good search and both strips against full signatures."""
 
     @pytest.mark.parametrize("e", [2, 3, 4, 5])
     def test_every_small_bipartition(self, e):
         for kappa in product(range(e), repeat=2):
             p = Params.make(e, kappa)
             strips = {}
+            regular = {}  # the antigood strip reaches the empty bipartition
             for n in range(9):  # ascending size: a strip step is known
                 for b in bips_of(n):
                     good = anti = None
@@ -216,9 +235,11 @@ class TestOneScanOracle:
                         if good is None and rep.good is not None:
                             good = (i, rep.good)
                         if anti is None and rep.antigood is not None:
-                            anti = (i, rep.antigood)
+                            anti = rep.antigood
                     assert _next_good(b, p) == good, (b, p)
-                    assert _next_antigood(b, p) == anti, (b, p)
+                    regular[b] = (b == EMPTY_BIP if anti is None
+                                  else regular[remove_node(b, anti)])
+                    assert is_regular(b, p) == regular[b], (b, p)
                     if good is None:
                         strips[b] = StripTrace((), b)
                     else:

@@ -18,7 +18,7 @@ from bipblocks.blocks import (
 from bipblocks.crystal import is_restricted
 from bipblocks.js import (
     CharacteristicWarning, DecompMatrix, hook_pairs, js_valuation,
-    order_from_members, branch_labels, branch_epsilon, matrix_from_members,
+    order_from_members, matrix_from_members,
     decomposition_matrix, _pair_valuation, _solve_column, _valuation_table,
 )
 from helpers import bips_of, small_bips, params_st
@@ -201,30 +201,6 @@ class TestOrder:
             for b in order.members:
                 if a != b and order.dominates(a, b):
                     assert dominates(a, b)
-
-
-class TestBranching:
-    P = Params.make(3, (0, 1))
-    B = bip((3, 2, 1, 1), (2, 2, 2))
-
-    def test_r_zero(self):
-        assert branch_labels(self.B, 0, 0, self.P) == [self.B]
-
-    def test_counts(self):
-        # three removable residue-0 nodes: 3 singles, 3 pairs
-        assert len(branch_labels(self.B, 0, 1, self.P)) == 3
-        assert len(branch_labels(self.B, 0, 2, self.P)) == 3
-
-    def test_too_many(self):
-        with pytest.raises(ValueError, match="removable"):
-            branch_labels(self.B, 0, 4, self.P)
-
-    def test_epsilon_matches_full_removal(self):
-        count, smaller = branch_epsilon(self.B, 0, self.P)
-        assert count == 3
-        assert smaller.size == self.B.size - 3
-        [full] = branch_labels(self.B, 0, count, self.P)
-        assert full == smaller
 
 
 class TestMatrixBasics:
