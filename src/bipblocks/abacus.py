@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .core import Bipartition, Params, _partition_from_beta
+from .core import Bipartition, Params, _beta_set, _partition_from_beta
 
 
 class Bicharge(NamedTuple):
@@ -55,7 +55,7 @@ def to_display(b: Bipartition, p: Params, ch: Bicharge) -> AbacusDisplay:
         part, k = b.comp(a), ch.k(a)
         if k < len(part):
             raise ValueError("charge below partition length")
-        beads.append(frozenset(part.row(r) + k - r for r in range(1, k + 1)))
+        beads.append(_beta_set(part, k))
     return AbacusDisplay(p, ch, beads[0], beads[1])
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 from .core import (
     Bipartition, InvariantError, Params, Partition, boundary_nodes,
-    canonical_sort, diagram, residue,
+    canonical_sort, residue,
 )
 from .abacus import (
     AbacusDisplay, Bicharge, canonical_bicharge, display, from_display,
@@ -30,9 +30,14 @@ class BlockKey(NamedTuple):
 
 
 def content_counts(b: Bipartition, p: Params) -> tuple[int, ...]:
+    """Nodes per residue: row r of component a holds the residues
+    kappa_a+1-r, ..., kappa_a+part_r-r."""
     counts = [0] * p.e
-    for nd in diagram(b):
-        counts[residue(nd, p)] += 1
+    for a in (1, 2):
+        k = p.kappa[a - 1]
+        for r, width in enumerate(b.comp(a), start=1):
+            for c in range(k + 1 - r, k + 1 - r + width):
+                counts[c % p.e] += 1
     return tuple(counts)
 
 
@@ -518,8 +523,11 @@ def family_from_type_params(btype: str, e: int, params: tuple[int, ...],
 
     Type II takes (i, j, k, l) with i <= j <= k <= l <= e+i-2; types III
     and IV take (i, j, k, l, m). The nucleus is a pair of rectangles
-    determined by the parameters, and kappa follows from them.
+    determined by the parameters, and kappa follows from them. The window
+    must have 0 <= i < e.
     """
+    if not 0 <= params[0] < e:
+        raise ValueError(f"window {tuple(params)}: need 0 <= i < e = {e}")
     if btype == "II":
         i, j, k, l = params
         if not i <= j <= k <= l <= e + i - 2:

@@ -115,6 +115,13 @@ def _int_list_field(value, name: str,
     return tuple(value)
 
 
+def _flag_list_field(value) -> tuple[str, ...]:
+    if not isinstance(value, list) or any(
+            x not in ("direct", "clamped") for x in value):
+        raise ValueError('field flags must be a list of "direct" or "clamped"')
+    return tuple(value)
+
+
 def _parse_bip_fields(doc: dict, where: str = "") -> Bipartition:
     for field in ("comp1", "comp2"):
         if field not in doc:
@@ -142,9 +149,11 @@ def parse(text: str):
             block=_parse_key_fields(doc["block"]),
             rows=tuple(_parse_bip_fields(d, "rows.") for d in doc["rows"]),
             cols=tuple(_parse_bip_fields(d, "cols.") for d in doc["cols"]),
-            entries=tuple(tuple(int(x) for x in r) for r in doc["entries"]),
-            jbounds=tuple(tuple(int(x) for x in r) for r in doc["jBounds"]),
-            flags=tuple(tuple(str(x) for x in r) for r in doc["flags"]))
+            entries=tuple(_int_list_field(r, "entries")
+                          for r in doc["entries"]),
+            jbounds=tuple(_int_list_field(r, "jBounds")
+                          for r in doc["jBounds"]),
+            flags=tuple(_flag_list_field(r) for r in doc["flags"]))
     if "weight" in doc and "block" in doc:
         return BlockDescriptor(
             key=_parse_key_fields(doc["block"]),
@@ -265,16 +274,6 @@ def _eval(expr: str, ns: dict):
     return eval(expr, {"__builtins__": {"range": range}, **ns})  # noqa: S307
 
 
-def _label_args(fam, name: str, argexpr: str, ns: dict):
-    """Evaluate an args expression to a list of members. Single tuples
-    and lists of tuples are both accepted; entries may be guarded away
-    by the window, giving an empty list."""
-    value = _eval(argexpr, ns)
-    if isinstance(value, tuple):
-        value = [value]
-    return [(f"{name}{tuple(a)}", fam.bip_of(name, a)) for a in value]
-
-
 def verify_case(spec: CaseSpec, e: Optional[int] = None,
                 window: Optional[tuple[int, ...]] = None) -> VerifyReport:
     """Recompute the family named by a case and diff it against the
@@ -288,7 +287,15 @@ def verify_case(spec: CaseSpec, e: Optional[int] = None,
                          f"'{spec.conditions}'")
     fam = family_from_type_params(spec.block_type, e, window)
     ns["z"] = len(fam.z_set)
-    mu = fam.bip_of(spec.mu[0], _eval(spec.mu[1], ns))
+
+    def member(name, args):
+        try:
+            return fam.bip_of(name, args)
+        except KeyError as exc:
+            raise ValueError(f"{spec.case_id} at e = {e}, window {window}: "
+                             f"{exc.args[0]}") from None
+
+    mu = member(spec.mu[0], _eval(spec.mu[1], ns))
     matrix = None
     order = None
 
@@ -310,7 +317,7 @@ def verify_case(spec: CaseSpec, e: Optional[int] = None,
                    is_restricted(mu, fam.params)[0])
         elif kind == "partner":
             name, argexpr = payload
-            want = fam.bip_of(name, _eval(argexpr, ns))
+            want = member(name, _eval(argexpr, ns))
             got = mu_diamond(mu, fam.params)
             record("mu partner", _bip_doc(want), _bip_doc(got))
         elif kind == "member-count":
@@ -328,21 +335,24 @@ def verify_case(spec: CaseSpec, e: Optional[int] = None,
             name, argexpr, value = payload
             mat = need_matrix()
             get = mat.entry if kind == "dn" else mat.jbound
-            for text, lam in _label_args(fam, name, argexpr, ns):
-                record(f"{kind}({text})", value, get(lam, mu))
+            # one args tuple, or a list of them the window may guard empty
+            args = _eval(argexpr, ns)
+            for a in [args] if isinstance(args, tuple) else args:
+                record(f"{kind}({name}{tuple(a)})", value,
+                       get(member(name, a), mu))
         elif kind == "tau":
             tau_expr, beta_name, beta_expr = payload
             mat = need_matrix()
-            tau = fam.bip_of("hook", _eval(tau_expr, ns))
-            beta = fam.bip_of(beta_name, _eval(beta_expr, ns))
+            tau = member("hook", _eval(tau_expr, ns))
+            beta = member(beta_name, _eval(beta_expr, ns))
             record("J(tau) forces the chain top",
                    1 - mat.entry(beta, mu), mat.jbound(tau, mu))
         elif kind == "order":
             if order is None:
                 order = order_from_members(fam.members(), fam.params)
             (na, ea), (nb, eb), expect = payload
-            a = fam.bip_of(na, _eval(ea, ns))
-            b = fam.bip_of(nb, _eval(eb, ns))
+            a = member(na, _eval(ea, ns))
+            b = member(nb, _eval(eb, ns))
             record(f"order {na}{_eval(ea, ns)} above {nb}{_eval(eb, ns)}",
                    expect, order.dominates(a, b))
         else:
@@ -396,11 +406,6 @@ def _beta_chain_probes(tau_expr: str) -> tuple[Probe, ...]:
         Probe("order", (("hook", "(i,i,1)"), ("hook", "(i,i-1,1)"),
                         True), "HF.4"),
     )
-
-
-def _simple_case(case_id, btype, mu, conditions, partner, e, window):
-    return CaseSpec(case_id, btype, conditions, mu, e, window,
-                    _shared_probes(partner))
 
 
 _III_ROWS = [
@@ -486,36 +491,32 @@ def _build_cases() -> dict[str, CaseSpec]:
             Probe("dn", ("hook", "(i,i-1,1)", 0), "T2.3"),
             Probe("dn", ("hook", "(l,i-1,2)", 0), "T2.4"),
         ))
-    for num, (mu, cond, partner, e, w) in enumerate(_III_ROWS, 1):
-        spec = _simple_case(f"III-{num}", "III", mu, cond, partner, e, w)
-        if num in (8, 10):
-            spec = CaseSpec(spec.case_id, "III", cond, mu, e, w,
-                            spec.probes + _stacked_column_probes())
-        cases[spec.case_id] = spec
-    for num, (mu, cond, partner, e, w) in enumerate(_IV_ROWS, 1):
-        spec = _simple_case(f"IV-{num}", "IV", mu, cond, partner, e, w)
-        extra = ()
-        if num in (5, 6, 9):
-            tau = {5: "(i-1,i+1,2)", 9: "(i-1,i+1,2)",
-                   6: "(e+i-2,i,2)"}[num]
-            extra = _beta_chain_probes(tau)
-        if num == 11:
-            extra = (
-                Probe("dn", ("hook", "(i,i+1,2)", 1), "TB.1"),
-                Probe("dn", ("hook", "(i,i,2)", 0), "TB.2"),
-                Probe("dn", ("hook", "(i+1,i+1,1)", 1), "TB.3"),
-                Probe("dn", ("downdownup", "(i,i-1,m)", 1), "TB.4"),
-                Probe("dn", ("hook", "(i-1,m,2)", 0), "TB.5"),
-                Probe("dn", ("hook", "(i,m,1)", 0), "TB.6"),
-                Probe("dn", ("hook", "(i,i-1,1)", 1), "TB.7"),
-                Probe("dn", ("hook", "(i,i,1)", 1), "TB.8"),
-                Probe("jbound", ("hook", "(i,i,1)", 2), "TB.8"),
-                Probe("dn", ("hook", "(i-1,i-1,2)", 1), "TB.9"),
-            )
-        if extra:
-            spec = CaseSpec(spec.case_id, "IV", cond, mu, e, w,
-                            spec.probes + extra)
-        cases[spec.case_id] = spec
+    # the probes that some cases add to the shared ones
+    extra = {
+        "III-8": _stacked_column_probes(),
+        "III-10": _stacked_column_probes(),
+        "IV-5": _beta_chain_probes("(i-1,i+1,2)"),
+        "IV-6": _beta_chain_probes("(e+i-2,i,2)"),
+        "IV-9": _beta_chain_probes("(i-1,i+1,2)"),
+        "IV-11": (
+            Probe("dn", ("hook", "(i,i+1,2)", 1), "TB.1"),
+            Probe("dn", ("hook", "(i,i,2)", 0), "TB.2"),
+            Probe("dn", ("hook", "(i+1,i+1,1)", 1), "TB.3"),
+            Probe("dn", ("downdownup", "(i,i-1,m)", 1), "TB.4"),
+            Probe("dn", ("hook", "(i-1,m,2)", 0), "TB.5"),
+            Probe("dn", ("hook", "(i,m,1)", 0), "TB.6"),
+            Probe("dn", ("hook", "(i,i-1,1)", 1), "TB.7"),
+            Probe("dn", ("hook", "(i,i,1)", 1), "TB.8"),
+            Probe("jbound", ("hook", "(i,i,1)", 2), "TB.8"),
+            Probe("dn", ("hook", "(i-1,i-1,2)", 1), "TB.9"),
+        ),
+    }
+    for btype, rows in (("III", _III_ROWS), ("IV", _IV_ROWS)):
+        for num, (mu, cond, partner, e, w) in enumerate(rows, 1):
+            cid = f"{btype}-{num}"
+            cases[cid] = CaseSpec(cid, btype, cond, mu, e, w,
+                                  _shared_probes(partner)
+                                  + extra.get(cid, ()))
     cases["IV-e2-H5"] = CaseSpec(
         "IV-e2-H5", "IV", "i==j==k==l==m==e+i-2",
         ("hook", "(i,i-1,2)"), 2, (0, 0, 0, 0, 0),

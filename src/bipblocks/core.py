@@ -165,16 +165,10 @@ def canonical_sort(bips) -> list[Bipartition]:
     return sorted(bips, key=dominance_key, reverse=True)
 
 
-def _component_diagram(part: Partition, a: int) -> set[Node]:
-    out = set()
-    for r, width in enumerate(part, start=1):
-        for c in range(1, width + 1):
-            out.add(Node(r, c, a))
-    return out
-
-
 def diagram(b: Bipartition) -> set[Node]:
-    return _component_diagram(b.comp1, 1) | _component_diagram(b.comp2, 2)
+    return {Node(r, c, a) for a in (1, 2)
+            for r, width in enumerate(b.comp(a), start=1)
+            for c in range(1, width + 1)}
 
 
 def addable_nodes(b: Bipartition) -> list[Node]:
@@ -229,16 +223,27 @@ def remove_node(b: Bipartition, node: Node) -> Bipartition:
 
 @dataclass(frozen=True)
 class RimHook:
-    """A removable connected rim strip in one component."""
+    """A removable rim hook of one component: the move of a bead x down to
+    a free position y of its beta-set. The hand is the top-right cell, the
+    leg counts the beads strictly between y and x, the length is x - y and
+    ``rest`` is the bipartition the move leaves."""
 
-    nodes: tuple[Node, ...]
     hand: Node
     leg_length: int
     component: int
+    length: int
+    rest: Bipartition
 
     @property
-    def length(self) -> int:
-        return len(self.nodes)
+    def nodes(self) -> tuple[Node, ...]:
+        """The cells, row by row: row s runs from past the rest's part to
+        the hand's column (top row) or to one past the rest's part above."""
+        part, a = self.rest.comp(self.component), self.component
+        out, end = [], self.hand.col
+        for s in range(self.hand.row, self.hand.row + self.leg_length + 1):
+            out.extend(Node(s, c, a) for c in range(part.row(s) + 1, end + 1))
+            end = part.row(s) + 1
+        return tuple(out)
 
 
 def _beta_set(part: Partition, k: int) -> frozenset[int]:
@@ -251,42 +256,24 @@ def _partition_from_beta(beta, k: int) -> Partition:
 
 
 def rim_hooks(b: Bipartition) -> list[RimHook]:
-    """All removable rim hooks of b."""
+    """All removable rim hooks of b, by component, hand row and length.
+    With k beads, the bead x of row r sits at part_r + k - r."""
     out = []
     for a in (1, 2):
         part = b.comp(a)
-        if not part:
-            continue
         k = len(part)
         beta = _beta_set(part, k)
-        cells = _component_diagram(part, a)
-        for x in beta:
-            for ln in range(1, x + 1):
-                y = x - ln
+        for r, x in enumerate(sorted(beta, reverse=True), start=1):
+            hand, leg = Node(r, x - k + r, a), 0
+            for y in range(x - 1, -1, -1):
                 if y in beta:
+                    leg += 1
                     continue
                 smaller = _partition_from_beta((beta - {x}) | {y}, k)
-                hook_nodes = cells - _component_diagram(smaller, a)
-                rows = [nd.row for nd in hook_nodes]
-                top = min(rows)
-                hand = max((nd for nd in hook_nodes if nd.row == top), key=lambda nd: nd.col)
-                out.append(RimHook(
-                    nodes=tuple(sorted(hook_nodes)),
-                    hand=hand,
-                    leg_length=max(rows) - top,
-                    component=a,
-                ))
-    out.sort(key=lambda h: (h.component, h.hand.row, h.hand.col, h.length))
+                rest = (Bipartition(smaller, b.comp2) if a == 1
+                        else Bipartition(b.comp1, smaller))
+                out.append(RimHook(hand, leg, a, x - y, rest))
     return out
-
-
-def remove_rim_hook(b: Bipartition, hook: RimHook) -> Bipartition:
-    remaining = _component_diagram(b.comp(hook.component), hook.component) - set(hook.nodes)
-    rows: dict[int, int] = {}
-    for nd in remaining:
-        rows[nd.row] = max(rows.get(nd.row, 0), nd.col)
-    part = Partition(rows.get(r, 0) for r in range(1, max(rows, default=0) + 1))
-    return Bipartition(part, b.comp2) if hook.component == 1 else Bipartition(b.comp1, part)
 
 
 def is_e_restricted(part: Partition, e: int) -> bool:

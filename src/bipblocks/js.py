@@ -2,7 +2,7 @@
 decomposition-matrix solver for blocks of weight at most three.
 
 Two bipartitions are connected by a hook pair when removing one rim hook
-from each leaves the same diagram and the hook hands share a residue.
+from each leaves the same bipartition and the hook hands share a residue.
 Each pair carries a sign and an integer valuation, and summing them gives
 the coefficient that feeds the column-by-column bound recursion.
 """
@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .core import (
-    Bipartition, InvariantError, Params, RimHook, canonical_sort, diagram,
-    dominates, residue, rim_hooks,
+    Bipartition, InvariantError, Params, RimHook, canonical_sort, dominates,
+    residue, rim_hooks,
 )
 from .blocks import (
     BlockKey, block_weight, content_counts, enumerate_block, weight,
@@ -37,9 +37,8 @@ class HookPair:
 
 
 def _hook_data(b: Bipartition):
-    """Per rim hook: the hook, its complement in the diagram, its length."""
-    cells = diagram(b)
-    return [(h, frozenset(cells - set(h.nodes))) for h in rim_hooks(b)]
+    """Per rim hook: the hook and the bipartition its removal leaves."""
+    return [(h, h.rest) for h in rim_hooks(b)]
 
 
 def _pair_valuation(L: RimHook, N: RimHook, p: Params) -> int:
@@ -75,9 +74,10 @@ def _epsilon(L: RimHook, N: RimHook) -> int:
 
 def _pairs_from_data(data_l, data_n, p: Params) -> list[HookPair]:
     out = []
-    for L, comp_l in data_l:
-        for N, comp_n in data_n:
-            if L.length != N.length or comp_l != comp_n:
+    # equal sizes and equal rests imply equal hook lengths
+    for L, rest_l in data_l:
+        for N, rest_n in data_n:
+            if rest_l != rest_n:
                 continue
             if residue(L.hand, p) != residue(N.hand, p):
                 continue
@@ -105,9 +105,9 @@ def _valuation_table(members, p: Params) -> dict:
     """The nonzero signed valuation sums of the dominating pairs (a, b),
     a before b in ``members`` (canonical order, most dominant first).
 
-    A hash join: every hook is bucketed under (complement, hand residue),
-    and hooks are paired only within a bucket. Dominance is tested before
-    any valuation of a member pair is taken.
+    A hash join: every hook is bucketed under (its rest, hand residue), and
+    hooks are paired only within a bucket. Dominance is tested before any
+    valuation of a member pair is taken.
     """
     buckets = defaultdict(list)
     for i, m in enumerate(members):
@@ -115,7 +115,7 @@ def _valuation_table(members, p: Params) -> dict:
             buckets[(rest, residue(h.hand, p))].append((i, h))
     dominating, sums = {}, defaultdict(int)
     for bucket in buckets.values():
-        # a complement and its hook give back the member, so a bucket
+        # a rest and its hook give back the member, so a bucket
         # holds at most one hook per member, in member order: i < j
         for (i, L), (j, N) in combinations(bucket, 2):
             if (i, j) not in dominating:

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from bipblocks import blocks
 from bipblocks.core import (
-    InvariantError, Params, bip, EMPTY_BIP, boundary_nodes, conjugate,
-    remove_node,
+    InvariantError, Params, bip, EMPTY_BIP, bipartitions, boundary_nodes,
+    conjugate, diagram, remove_node, residue,
 )
 from bipblocks.blocks import (
     BlockKey, block_key, content_counts, delta_vector,
@@ -41,6 +41,18 @@ class TestBlockKey:
         p = Params.make(3, (0, 1))
         key, _ = block_key(bip((3, 2, 1, 1), (2, 2, 2)), p)
         assert key == BlockKey(13, (5, 4, 4))
+
+    @pytest.mark.parametrize("e", [2, 3, 4, 5])
+    def test_content_counts_oracle(self, e):
+        # residues counted cell by cell over the diagram, n <= 8, every kappa
+        bips = [b for n in range(9) for b in bipartitions(n)]
+        for kappa in product(range(e), repeat=2):
+            p = Params.make(e, kappa)
+            for b in bips:
+                counts = [0] * e
+                for nd in diagram(b):
+                    counts[residue(nd, p)] += 1
+                assert content_counts(b, p) == tuple(counts), (b, p)
 
     def test_shared_key(self):
         a, b = B32, bip((3, 3, 1, 1), (1, 1))
@@ -219,6 +231,21 @@ class TestTypeFamilies:
                 members = fam.members()
                 key = key_of(members[0], fam.params)
                 assert members == enumerate_block(key, fam.params), params
+
+
+    @pytest.mark.parametrize("btype, params", [
+        ("II", (-1, 0, 1, 2)), ("III", (5, 7, 8, 8, 8)),
+        ("IV", (-1, 0, 0, 1, 2)), ("IV", (5, 5, 6, 7, 8)),
+    ])
+    def test_window_outside_residues(self, btype, params, monkeypatch):
+        # refused before the nucleus is built, so before any type read-back
+        def refuse(*args):
+            raise AssertionError("built the nucleus of a refused window")
+
+        monkeypatch.setattr(blocks, "_rect", refuse)
+        with pytest.raises(ValueError) as err:
+            family_from_type_params(btype, 5, params)
+        assert str(err.value) == f"window {params}: need 0 <= i < e = 5"
 
 
 class TestInvariantErrors:

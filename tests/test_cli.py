@@ -202,6 +202,20 @@ class TestCommands:
         assert res.exit_code == 1
         assert "violates" in res.output
 
+    def test_verify_window_outside_residues(self):
+        # i = 5 at e = 5: (0, 2, 3, 3, 3) shifted by e
+        res = run("verify", "--case", "III-8", "--params", "5,7,8,8,8")
+        assert res.exit_code == 1
+        assert res.output == ("error: window (5, 7, 8, 8, 8): need "
+                              "0 <= i < e = 5\n")
+
+    def test_verify_missing_label(self):
+        res = run("verify", "--case", "IV-11", "--e", "4",
+                  "--params", "0,0,0,0,1")
+        assert res.exit_code == 1
+        assert res.output == ("error: IV-11 at e = 4, window (0, 0, 0, 0, "
+                              "1): no member labelled hook(1, 1, 1)\n")
+
     def test_verify_params_not_integers(self):
         res = run("verify", "--case", "III-8", "--params", "0,2,x,3,3")
         assert res.exit_code == 2
@@ -329,6 +343,18 @@ class TestCache:
         full = serialize(decomposition_matrix(self.H5KEY, self.H5))
         self._decomp_over(tmp_path, full[:len(full) // 2])
 
+    # values int() or str() would read as another matrix: the first cell
+    # holds entry 0, bound 0 and flag "direct"
+    @pytest.mark.parametrize("field, value", [
+        ("entries", 1.9), ("entries", True), ("jBounds", "7"),
+        ("flags", 42), ("flags", "clamp"),
+    ])
+    def test_mistyped_cell_is_a_miss(self, tmp_path, field, value):
+        doc = json.loads(serialize(decomposition_matrix(self.H5KEY,
+                                                        self.H5)))
+        doc[field][0][0] = value
+        self._decomp_over(tmp_path, json.dumps(doc))
+
 
 class TestGoldenTables:
     """``--format table`` output on H5DOC, byte for byte; the decomp
@@ -408,4 +434,5 @@ def test_benchmark_bindings_are_traced():
     assert res.returncode == 0, res.stderr
     names = set(json.loads(res.stdout))
     assert {"cli.verify_case", "js.matrix_from_members",
-            "blocks.family_from_type_params"} <= names
+            "blocks.family_from_type_params", "js.valuation_table",
+            "js.hook_data", "core.rim_hooks"} <= names

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bipblocks.core import (
-    Params, Partition, Node, bip, EMPTY_BIP,
+    Params, Partition, Bipartition, Node, bip, EMPTY_BIP,
     residue, conjugate, conjugate_node, dominates, dominance_key,
     boundary_nodes, addable_nodes, removable_nodes, rim_hooks,
-    remove_rim_hook, is_e_restricted, partitions, bipartitions,
+    is_e_restricted, partitions, bipartitions,
     add_node, remove_node, diagram, canonical_sort,
 )
 
@@ -160,8 +160,7 @@ class TestRimHooks:
     @given(small_bips(7))
     def test_removal_is_valid(self, b):
         for h in rim_hooks(b):
-            smaller = remove_rim_hook(b, h)
-            assert smaller.size == b.size - h.length
+            assert h.rest.size == b.size - h.length
 
     @given(small_bips(7))
     def test_hand_is_top_rightmost(self, b):
@@ -177,6 +176,57 @@ class TestRimHooks:
         for h in rim_hooks(b):
             for nd in h.nodes:
                 assert Node(nd.row + 1, nd.col + 1, nd.component) not in cells
+
+
+def _cells(part, a):
+    return {Node(r, c, a) for r, width in enumerate(part, start=1)
+            for c in range(1, width + 1)}
+
+
+def _node_set_hooks(b):
+    """Rim hooks by the Node-set construction: a bead move x -> y removes
+    the cells that the smaller partition lacks, the hand is the top row's
+    rightmost cell, and what is left is rebuilt from the remaining cells.
+    Each hook is (nodes, hand, leg, component, length, rest)."""
+    out = []
+    for a in (1, 2):
+        part = b.comp(a)
+        k = len(part)
+        beta = {part.row(r) + k - r for r in range(1, k + 1)}
+        cells = _cells(part, a)
+        for x in beta:
+            for y in set(range(x)) - beta:
+                vals = sorted((beta - {x}) | {y}, reverse=True)
+                smaller = Partition(v - k + r for r, v in enumerate(vals, 1))
+                hook = cells - _cells(smaller, a)
+                top = min(nd.row for nd in hook)
+                hand = max((nd for nd in hook if nd.row == top),
+                           key=lambda nd: nd.col)
+                widths = {}
+                for nd in cells - hook:
+                    widths[nd.row] = max(widths.get(nd.row, 0), nd.col)
+                left = Partition(widths.get(r, 0)
+                                 for r in range(1, max(widths, default=0) + 1))
+                rest = (Bipartition(left, b.comp2) if a == 1
+                        else Bipartition(b.comp1, left))
+                out.append((tuple(sorted(hook)), hand,
+                            max(nd.row for nd in hook) - top, a, len(hook),
+                            rest))
+    out.sort(key=lambda h: (h[3], h[1].row, h[1].col, h[4]))
+    return out
+
+
+class TestRimHookOracle:
+    def test_bead_moves_match_node_sets(self):
+        # every bipartition with n <= 9; a partition has one rim hook per
+        # cell, so each has exactly n hooks
+        for n in range(10):
+            for b in bipartitions(n):
+                hooks = rim_hooks(b)
+                assert len(hooks) == n, b
+                got = [(h.nodes, h.hand, h.leg_length, h.component,
+                        h.length, h.rest) for h in hooks]
+                assert got == _node_set_hooks(b), b
 
 
 class TestERestricted:
