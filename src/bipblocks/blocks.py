@@ -1,8 +1,9 @@
 """Block identity, weights, nuclei and member labelling.
 
 A block is identified by its size and residue content, and its members are
-built from that content row by row. Its weight comes from a three-phase
-abacus reduction of any member. Odd-weight non-core blocks have a
+built from that content row by row. Its weight is a closed form in that
+content; the three-phase abacus reduction of any member gives the same
+total and a trace of the moves. Odd-weight non-core blocks have a
 weight-0 nucleus (for a shifted bicharge) from which every member is
 rebuilt by prescribed bead moves; those moves are the member labels.
 """
@@ -114,8 +115,19 @@ def weight_trace(b: Bipartition, p: Params) -> WeightTrace:
                        from_display(d), xs, ys, total)
 
 
+def _content_weight(counts, p: Params) -> int:
+    """Fayers' closed form (Adv. Math. 2006): the weight is
+    sum_j c_{kappa_j} - (1/2) sum_i (c_i - c_{i+1})^2, from the residue
+    content c. The differences sum to 0 around the cycle, so the sum of
+    their squares is even."""
+    spread = sum((counts[i] - counts[i - 1]) ** 2 for i in range(p.e))
+    return sum(counts[k] for k in p.kappa) - spread // 2
+
+
 def weight(b: Bipartition, p: Params) -> int:
-    return weight_trace(b, p).total
+    """The weight, from the residue content; ``weight_trace`` reaches the
+    same total by the abacus reduction."""
+    return _content_weight(content_counts(b, p), p)
 
 
 @dataclass(frozen=True)
@@ -353,10 +365,17 @@ def _rows(size: int, max_part: int, row: int, charge: int, counts: list,
 def _members(key: BlockKey, p: Params):
     """The block's members, built from its content in ``bipartitions``
     order: size of component 1 ascending, then ``partitions`` order in
-    each component. A malformed key yields nothing."""
+    each component. A malformed key raises ``ValueError`` on the first
+    step."""
     counts = list(key.content)
-    if len(counts) != p.e or min(counts) < 0 or sum(counts) != key.n:
-        return
+    if len(counts) != p.e:
+        raise ValueError(f"malformed block: content has {len(counts)} "
+                         f"entries, not e = {p.e}")
+    if min(counts) < 0:
+        raise ValueError("malformed block: content has a negative entry")
+    if sum(counts) != key.n:
+        raise ValueError(f"malformed block: content sums to {sum(counts)}, "
+                         f"not n = {key.n}")
     k1, k2 = p.kappa
     for m in range(key.n + 1):
         for c1 in _rows(m, m, 1, k1, counts, p.e):
@@ -373,8 +392,10 @@ def _member_of(key: BlockKey, p: Params) -> Bipartition:
 
 
 def block_weight(key: BlockKey, p: Params) -> int:
-    """Weight of the block, from its first member: no enumeration."""
-    return weight(_member_of(key, p), p)
+    """Weight of the block, from its content once its first member shows
+    that it is not empty: no enumeration."""
+    _member_of(key, p)
+    return _content_weight(key.content, p)
 
 
 @lru_cache(maxsize=None)

@@ -115,11 +115,21 @@ def _int_list_field(value, name: str,
     return tuple(value)
 
 
-def _flag_list_field(value) -> tuple[str, ...]:
-    if not isinstance(value, list) or any(
-            x not in ("direct", "clamped") for x in value):
-        raise ValueError('field flags must be a list of "direct" or "clamped"')
-    return tuple(value)
+def _cell_table(doc: dict, name: str, rows: int, cols: int,
+                cell_ok) -> tuple[tuple, ...]:
+    """A matrix field: ``rows`` lists of ``cols`` cells that pass
+    ``cell_ok``."""
+    table = doc[name]
+    if not isinstance(table, list) or len(table) != rows or any(
+            not isinstance(r, list) or len(r) != cols
+            or not all(map(cell_ok, r)) for r in table):
+        raise ValueError(f"field {name} must be {rows} lists of {cols} "
+                         "cells")
+    return tuple(map(tuple, table))
+
+
+def _is_int(x) -> bool:
+    return type(x) is int
 
 
 def _parse_bip_fields(doc: dict, where: str = "") -> Bipartition:
@@ -145,15 +155,15 @@ def parse(text: str):
                              c["pass"]) for c in doc["checks"])
         return VerifyReport(doc["caseId"], checks, doc["overall"])
     if "entries" in doc:
+        rows = tuple(_parse_bip_fields(d, "rows.") for d in doc["rows"])
+        cols = tuple(_parse_bip_fields(d, "cols.") for d in doc["cols"])
+        shape = (len(rows), len(cols))
         return DecompMatrix(
-            block=_parse_key_fields(doc["block"]),
-            rows=tuple(_parse_bip_fields(d, "rows.") for d in doc["rows"]),
-            cols=tuple(_parse_bip_fields(d, "cols.") for d in doc["cols"]),
-            entries=tuple(_int_list_field(r, "entries")
-                          for r in doc["entries"]),
-            jbounds=tuple(_int_list_field(r, "jBounds")
-                          for r in doc["jBounds"]),
-            flags=tuple(_flag_list_field(r) for r in doc["flags"]))
+            block=_parse_key_fields(doc["block"]), rows=rows, cols=cols,
+            entries=_cell_table(doc, "entries", *shape, _is_int),
+            jbounds=_cell_table(doc, "jBounds", *shape, _is_int),
+            flags=_cell_table(doc, "flags", *shape,
+                              lambda x: x in ("direct", "clamped")))
     if "weight" in doc and "block" in doc:
         return BlockDescriptor(
             key=_parse_key_fields(doc["block"]),

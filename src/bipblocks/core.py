@@ -171,33 +171,29 @@ def diagram(b: Bipartition) -> set[Node]:
             for c in range(1, width + 1)}
 
 
-def addable_nodes(b: Bipartition) -> list[Node]:
-    """Addable cells, component 1 first, ascending row."""
+def corners(comps, p: Params) -> list[tuple[int, int, int, int, str]]:
+    """Every addable ("+") and removable ("-") cell of two part sequences
+    (a bipartition or two lists), in reading order (component, then row):
+    (component, row, col, residue, sign). Row r - 1 has a removable cell
+    exactly when it is longer than row r, and then row r has an addable one."""
     out = []
-    for a in (1, 2):
-        part = b.comp(a)
-        for r in range(1, len(part) + 2):
-            c = part.row(r) + 1
-            if part.row(r - 1) >= c or r == 1:
-                out.append(Node(r, c, a))
-    return out
-
-
-def removable_nodes(b: Bipartition) -> list[Node]:
-    """Removable cells, component 1 first, ascending row."""
-    out = []
-    for a in (1, 2):
-        part = b.comp(a)
-        for r in range(1, len(part) + 1):
-            if part.row(r) > part.row(r + 1):
-                out.append(Node(r, part.row(r), a))
+    for a, (parts, k) in enumerate(zip(comps, p.kappa), start=1):
+        above = None  # the part of row r - 1
+        for r, x in enumerate((*parts, 0), start=1):
+            if above is None or above > x:
+                if above:
+                    out.append((a, r - 1, above, (k + above + 1 - r) % p.e,
+                                "-"))
+                out.append((a, r, x + 1, (k + x + 1 - r) % p.e, "+"))
+            above = x
     return out
 
 
 def boundary_nodes(b: Bipartition, p: Params):
-    """(addable, removable) node lists, each entry (node, residue)."""
-    add = [(nd, residue(nd, p)) for nd in addable_nodes(b)]
-    rem = [(nd, residue(nd, p)) for nd in removable_nodes(b)]
+    """(addable, removable) lists of (node, residue), in reading order."""
+    add, rem = [], []
+    for a, r, c, i, sign in corners(b, p):
+        (add if sign == "+" else rem).append((Node(r, c, a), i))
     return add, rem
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    Bipartition, EMPTY_BIP, InvariantError, Node, Params, add_node,
-    boundary_nodes, conjugate, dominates, remove_node,
+    Bipartition, InvariantError, Node, Params, add_node, bip, conjugate,
+    corners, dominates,
 )
 from .blocks import block_key, enumerate_block, weight
 
@@ -58,30 +58,25 @@ def _cancel(raw, first: str, second: str):
     """Delete adjacent (first, second) sign pairs until none remain."""
     out = []
     for item in raw:
-        if out and out[-1][1] == first and item[1] == second:
+        if out and out[-1][-1] == first and item[-1] == second:
             out.pop()
         else:
             out.append(item)
     return tuple(out)
 
 
-def _raw_signatures(b: Bipartition, p: Params) -> list[list[tuple[Node, str]]]:
-    """The raw i-signature of every residue i, from one boundary scan:
-    (node, "+") for addable and (node, "-") for removable i-nodes, in
-    reading order (component, then row)."""
-    add, rem = boundary_nodes(b, p)
-    entries = [(nd, r, "+") for nd, r in add]
-    entries += [(nd, r, "-") for nd, r in rem]
-    entries.sort(key=lambda item: (item[0].component, item[0].row))
+def _raw_signatures(comps, p: Params) -> list[list[tuple]]:
+    """The raw i-signature of every residue i, from one corner scan:
+    (row, col, component, sign) per i-node, in reading order."""
     raw = [[] for _ in range(p.e)]
-    for nd, r, sign in entries:
-        raw[r].append((nd, sign))
+    for a, r, c, i, sign in corners(comps, p):
+        raw[i].append((r, c, a, sign))
     return raw
 
 
 def signature(b: Bipartition, i: int, p: Params) -> SignatureReport:
     i %= p.e
-    raw = tuple(_raw_signatures(b, p)[i])
+    raw = tuple((Node(r, c, a), s) for r, c, a, s in _raw_signatures(b, p)[i])
     reduced = _cancel(raw, "-", "+")
     antireduced = _cancel(raw, "+", "-")
     normal = tuple(nd for nd, s in reduced if s == "-")
@@ -98,29 +93,35 @@ def signature(b: Bipartition, i: int, p: Params) -> SignatureReport:
         anticogood=anticonormal[0] if anticonormal else None)
 
 
-def _next_good(b: Bipartition, p: Params):
-    """Good node for the smallest residue that has one, with its residue:
-    the first normal node of the reduced signature."""
-    for i, raw in enumerate(_raw_signatures(b, p)):
-        for nd, sign in _cancel(raw, "-", "+"):
-            if sign == "-":
-                return i, nd
+def _next_good(comps, p: Params):
+    """(residue, (row, col, component), raw signature) of the first normal
+    node of the reduced signature, for the smallest residue that has one."""
+    for i, raw in enumerate(_raw_signatures(comps, p)):
+        for entry in _cancel(raw, "-", "+"):
+            if entry[3] == "-":
+                return i, entry[:3], raw
     return None
+
+
+def _good_strip(comps, p: Params):
+    """Remove good nodes from the part lists ``comps`` in place, one per
+    step, until none is left. Each step yields its residue and the raw
+    signature it read. Only the last row can empty."""
+    while (found := _next_good(comps, p)) is not None:
+        i, (r, _, a), raw = found
+        parts = comps[a - 1]
+        parts[r - 1] -= 1
+        if not parts[r - 1]:
+            parts.pop()
+        yield i, raw
 
 
 def is_restricted(b: Bipartition, p: Params) -> tuple[bool, StripTrace]:
     """Strip good nodes as long as any exist; restricted means the empty
     bipartition is reached."""
-    cur = b
-    residues = []
-    while True:
-        found = _next_good(cur, p)
-        if found is None:
-            break
-        i, nd = found
-        cur = remove_node(cur, nd)
-        residues.append(i)
-    return cur == EMPTY_BIP, StripTrace(tuple(residues), cur)
+    comps = [list(b.comp1), list(b.comp2)]
+    residues = tuple(i for i, _ in _good_strip(comps, p))
+    return not any(comps), StripTrace(residues, bip(*comps))
 
 
 def is_regular(b: Bipartition, p: Params) -> bool:
@@ -151,16 +152,17 @@ def mu_diamond(mu: Bipartition, p: Params) -> Bipartition:
     member at weight 1), then add anticogood nodes of the recorded
     residues in reverse order.
     """
-    cur = mu
-    residues = []
-    while weight(cur, p) > 1:
-        found = _next_good(cur, p)
-        if found is None:
+    comps = [list(mu.comp1), list(mu.comp2)]
+    strip = _good_strip(comps, p)
+    residues, wt = [], weight(mu, p)
+    while wt > 1:  # removing an i-node adds delta_i - 1 to the weight
+        i, raw = next(strip, (None, None))
+        if raw is None:
             raise ValueError("not restricted: no normal nodes left")
-        i, nd = found
-        cur = remove_node(cur, nd)
+        wt += sum(1 if s == "-" else -1 for *_, s in raw) - 1
         residues.append(i)
-    if weight(cur, p) == 1:
+    cur = bip(*comps)
+    if wt == 1:
         cur = _weight_one_diamond(cur, p)
     for i in reversed(residues):
         rep = signature(cur, i, p)

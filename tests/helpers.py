@@ -4,7 +4,7 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from bipblocks.core import Params, bipartitions
+from bipblocks.core import Bipartition, Node, Params, bipartitions
 
 
 @lru_cache(maxsize=None)
@@ -27,3 +27,28 @@ def params_st(max_e=4):
     return st.tuples(st.integers(2, max_e), st.integers(0, max_e - 1),
                      st.integers(0, max_e - 1)).map(
         lambda t: Params.make(t[0], (t[1] % t[0], t[2] % t[0])))
+
+
+# Diagram definitions of the boundary, kept as oracles for core.corners.
+
+def addable_nodes(b: Bipartition) -> list[Node]:
+    """Addable cells, component 1 first, ascending row."""
+    out = []
+    for a in (1, 2):
+        part = b.comp(a)
+        for r in range(1, len(part) + 2):
+            c = part.row(r) + 1
+            if part.row(r - 1) >= c or r == 1:
+                out.append(Node(r, c, a))
+    return out
+
+
+def removable_nodes(b: Bipartition) -> list[Node]:
+    """Removable cells, component 1 first, ascending row."""
+    out = []
+    for a in (1, 2):
+        part = b.comp(a)
+        for r in range(1, len(part) + 1):
+            if part.row(r) > part.row(r + 1):
+                out.append(Node(r, part.row(r), a))
+    return out

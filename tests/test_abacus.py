@@ -2,15 +2,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bipblocks.core import (
-    Params, bip, EMPTY_BIP, residue, removable_nodes, addable_nodes,
-    rim_hooks,
+    Params, bip, EMPTY_BIP, residue, rim_hooks,
 )
 from bipblocks.abacus import (
     Bicharge, canonical_bicharge, to_display, from_display, display,
     gamma_vector, apply_move, transfer_bead, push_down_lowest, push_up,
     is_bicore, s_xy,
 )
-from helpers import small_bips, params_st
+from helpers import small_bips, params_st, addable_nodes, removable_nodes
 
 P54 = Params.make(5, (4, 4))
 

@@ -10,7 +10,7 @@ from bipblocks.core import (
     conjugate, diagram, remove_node, residue,
 )
 from bipblocks.blocks import (
-    BlockKey, block_key, content_counts, delta_vector,
+    BlockKey, block_key, block_weight, content_counts, delta_vector,
     weight, weight_trace, enumerate_block, nucleus_and_Z, classify_type,
     exceptional_bips, exceptional_labels, block_family,
     family_from_type_params, constructive_members, swap_components,
@@ -118,6 +118,24 @@ class TestWeight:
                 smaller = remove_node(smaller, nd)
             assert weight(smaller, p) == weight(b, p) + u * (delta - u)
             checks += 1
+
+
+class TestClosedFormWeightOracle:
+    """The closed-form weight against the abacus reduction."""
+
+    @pytest.mark.parametrize("e", [2, 3, 4, 5])
+    def test_every_small_bipartition(self, e):
+        for kappa in product(range(e), repeat=2):
+            p = Params.make(e, kappa)
+            blocks_seen = {}
+            for n in range(9):
+                for b in bips_of(n):
+                    total = weight_trace(b, p).total
+                    assert weight(b, p) == total, (b, p)
+                    key = BlockKey(n, content_counts(b, p))
+                    blocks_seen.setdefault(key, total)
+            for key, total in blocks_seen.items():
+                assert block_weight(key, p) == total, (key, p)
 
 
 class TestEnumerate:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -235,10 +236,17 @@ class TestCommands:
         res = run("decomp", "--bip", bad)  # domain: weight 4
         assert res.exit_code == 1 and "weight" in res.output
 
-    # content too short, too long, with a negative entry, summing past n
-    @pytest.mark.parametrize("content", [
-        "[3,4,3]", "[2,3,3,2,0]", "[2,3,-1,6]", "[2,3,3,3]",
-    ])
+    # content too short, too long, with a negative entry, summing past n,
+    # and well formed with no member
+    KEY_ERRORS = {
+        "[3,4,3]": "malformed block: content has 3 entries, not e = 4",
+        "[2,3,3,2,0]": "malformed block: content has 5 entries, not e = 4",
+        "[2,3,-1,6]": "malformed block: content has a negative entry",
+        "[2,3,3,3]": "malformed block: content sums to 11, not n = 10",
+        "[10,0,0,0]": "empty block: no bipartition has this content",
+    }
+
+    @pytest.mark.parametrize("content", list(KEY_ERRORS))
     @pytest.mark.parametrize("command", [["decomp", "--no-cache"],
                                          ["block", "enumerate"]])
     def test_malformed_block_key(self, command, content):
@@ -246,8 +254,19 @@ class TestCommands:
                f'"content":{content}}}')
         res = run(*command, "--block", doc)
         assert res.exit_code == 1
-        assert res.output == ("error: empty block: no bipartition has "
-                              "this content\n")
+        assert res.output == f"error: {self.KEY_ERRORS[content]}\n"
+
+    def test_oversized_block_refused_at_once(self):
+        # the weight comes from the content: no abacus reduction of a
+        # 100,000-cell member
+        doc = ('{"e":4,"kappa":[0,3],"charp":0,"n":100000,'
+               '"content":[25000,25000,25000,25000]}')
+        start = time.perf_counter()
+        res = run("decomp", "--no-cache", "--block", doc)
+        assert time.perf_counter() - start < 5
+        assert res.exit_code == 1
+        assert res.output == ("error: unsupported weight 50000: entries are "
+                              "only certified up to weight 3\n")
 
     # values int() would truncate or reinterpret, and shapes it cannot take
     @pytest.mark.parametrize("command, doc, field", [
@@ -343,6 +362,13 @@ class TestCache:
         full = serialize(decomposition_matrix(self.H5KEY, self.H5))
         self._decomp_over(tmp_path, full[:len(full) // 2])
 
+    def test_short_cell_tables_are_a_miss(self, tmp_path):
+        doc = json.loads(serialize(decomposition_matrix(self.H5KEY,
+                                                        self.H5)))
+        for field in ("entries", "jBounds", "flags"):
+            doc[field].pop()
+        self._decomp_over(tmp_path, json.dumps(doc))
+
     # values int() or str() would read as another matrix: the first cell
     # holds entry 0, bound 0 and flag "direct"
     @pytest.mark.parametrize("field, value", [
@@ -425,14 +451,17 @@ def test_benchmark_bindings_are_traced():
         tracer = spans.Tracer()
         spans.instrument(tracer)
         cli.verify_case(cli.CASES["IV-e2-H5"])
-        print(json.dumps(sorted({s[0] for s in tracer.spans})))
+        print(json.dumps([sorted({s[0] for s in tracer.spans}),
+                          tracer.counts["crystal.signature"]]))
     """)
     path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
     res = subprocess.run([sys.executable, "-c", script], cwd=root,
                          env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    names = set(json.loads(res.stdout))
+    names, signatures = json.loads(res.stdout)
     assert {"cli.verify_case", "js.matrix_from_members",
             "blocks.family_from_type_params", "js.valuation_table",
-            "js.hook_data", "core.rim_hooks"} <= names
+            "js.hook_data", "core.rim_hooks", "crystal.is_restricted",
+            "crystal.mu_diamond", "blocks.weight"} <= set(names)
+    assert signatures > 0

@@ -1,16 +1,21 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
 from bipblocks.core import (
     Params, Partition, Bipartition, Node, bip, EMPTY_BIP,
     residue, conjugate, conjugate_node, dominates, dominance_key,
-    boundary_nodes, addable_nodes, removable_nodes, rim_hooks,
+    boundary_nodes, corners, rim_hooks,
     is_e_restricted, partitions, bipartitions,
     add_node, remove_node, diagram, canonical_sort,
 )
 
 
-from helpers import small_bips, bip_pairs, params_st
+from helpers import (
+    small_bips, bip_pairs, params_st, bips_of, addable_nodes,
+    removable_nodes,
+)
 
 
 class TestPartition:
@@ -145,6 +150,34 @@ class TestBoundary:
             assert remove_node(add_node(b, nd), nd) == b
         for nd in removable_nodes(b):
             assert add_node(remove_node(b, nd), nd) == b
+
+
+class TestCornersOracle:
+    """The corner scan against the diagram definitions of the boundary."""
+
+    def test_row_partition(self):
+        p = Params.make(3, (0, 1))
+        assert corners(bip((2,), ()), p) == [
+            (1, 1, 3, 2, "+"), (1, 1, 2, 1, "-"), (1, 2, 1, 2, "+"),
+            (2, 1, 1, 1, "+")]
+
+    @pytest.mark.parametrize("e", [2, 3, 4, 5])
+    def test_every_small_bipartition(self, e):
+        for kappa in product(range(e), repeat=2):
+            p = Params.make(e, kappa)
+            for n in range(9):
+                for b in bips_of(n):
+                    add = [(nd, residue(nd, p)) for nd in addable_nodes(b)]
+                    rem = [(nd, residue(nd, p)) for nd in removable_nodes(b)]
+                    assert boundary_nodes(b, p) == (add, rem), (b, p)
+                    # reading order; in one row the addable cell comes first
+                    marks = sorted([(nd, r, "+") for nd, r in add]
+                                   + [(nd, r, "-") for nd, r in rem],
+                                   key=lambda m: (m[0].component, m[0].row))
+                    want = [(nd.component, nd.row, nd.col, r, sign)
+                            for nd, r, sign in marks]
+                    assert corners(b, p) == want, (b, p)
+                    assert corners([list(b.comp1), list(b.comp2)], p) == want
 
 
 class TestRimHooks:

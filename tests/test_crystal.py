@@ -10,7 +10,7 @@ from bipblocks.core import (
     is_e_restricted, add_node, remove_node,
 )
 from bipblocks.blocks import block_key, enumerate_block, weight, \
-    family_from_type_params
+    weight_trace, family_from_type_params
 from bipblocks.crystal import (
     StripTrace, signature, is_restricted, is_regular, mu_diamond,
     _next_good, _weight_one_diamond,
@@ -236,7 +236,8 @@ class TestOneScanOracle:
                             good = (i, rep.good)
                         if anti is None and rep.antigood is not None:
                             anti = rep.antigood
-                    assert _next_good(b, p) == good, (b, p)
+                    found = _next_good(b, p)
+                    assert (found and found[:2]) == good, (b, p)
                     regular[b] = (b == EMPTY_BIP if anti is None
                                   else regular[remove_node(b, anti)])
                     assert is_regular(b, p) == regular[b], (b, p)
@@ -248,3 +249,31 @@ class TestOneScanOracle:
                                                rest.terminal)
                     want = (strips[b].terminal == EMPTY_BIP, strips[b])
                     assert is_restricted(b, p) == want, (b, p)
+
+
+def diamond_oracle(mu, p):
+    """mu_diamond by its definition: the abacus weight at every step, and
+    the good node of the smallest residue removed through remove_node."""
+    cur, residues = mu, []
+    while (wt := weight_trace(cur, p).total) > 1:
+        i, good = next((i, rep.good) for i in range(p.e)
+                       if (rep := signature(cur, i, p)).good is not None)
+        cur = remove_node(cur, good)
+        residues.append(i)
+    if wt == 1:
+        cur = _weight_one_diamond(cur, p)
+    for i in reversed(residues):
+        cur = add_node(cur, signature(cur, i, p).anticogood)
+    return cur
+
+
+class TestDiamondOracle:
+    @pytest.mark.parametrize("e", [2, 3, 4])
+    def test_every_small_restricted_bipartition(self, e):
+        for kappa in product(range(e), repeat=2):
+            p = Params.make(e, kappa)
+            for n in range(8):
+                for b in bips_of(n):
+                    if is_restricted(b, p)[0]:
+                        assert mu_diamond(b, p) == diamond_oracle(b, p), \
+                            (b, p)
