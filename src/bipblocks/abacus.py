@@ -59,9 +59,9 @@ def to_display(b: Bipartition, p: Params, ch: Bicharge) -> AbacusDisplay:
     return AbacusDisplay(p, ch, beads[0], beads[1])
 
 
-def display(b: Bipartition, p: Params, n: int | None = None) -> AbacusDisplay:
-    """Display with the canonical bicharge for size n (default: |b|)."""
-    return to_display(b, p, canonical_bicharge(b.size if n is None else n, p))
+def display(b: Bipartition, p: Params) -> AbacusDisplay:
+    """Display with the canonical bicharge for the size of b."""
+    return to_display(b, p, canonical_bicharge(b.size, p))
 
 
 def from_display(d: AbacusDisplay) -> Bipartition:

@@ -15,12 +15,11 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .core import (
-    Bipartition, InvariantError, Params, Partition, boundary_nodes,
-    canonical_sort, residue,
+    Bipartition, InvariantError, Params, Partition, canonical_sort, corners,
 )
 from .abacus import (
     AbacusDisplay, Bicharge, canonical_bicharge, display, from_display,
-    gamma_vector, push_down_lowest, push_up, s_xy, to_display,
+    gamma_vector, is_bicore, push_down_lowest, push_up, s_xy, to_display,
     transfer_bead,
 )
 
@@ -44,12 +43,9 @@ def content_counts(b: Bipartition, p: Params) -> tuple[int, ...]:
 
 def delta_vector(b: Bipartition, p: Params) -> tuple[int, ...]:
     """Per residue: removable nodes minus addable nodes."""
-    add, rem = boundary_nodes(b, p)
     out = [0] * p.e
-    for _, r in rem:
-        out[r] += 1
-    for _, r in add:
-        out[r] -= 1
+    for _, _, _, i, sign in corners(b, p):
+        out[i] += 1 if sign == "-" else -1
     return tuple(out)
 
 
@@ -108,6 +104,9 @@ def _reduce_display(d: AbacusDisplay):
 
 
 def weight_trace(b: Bipartition, p: Params) -> WeightTrace:
+    """The abacus reduction of b, move by move, and the weight it adds up
+    to. A record for readers and the tests' oracle of the closed form:
+    ``weight`` and classification do not run it."""
     d, hooks, after_slide, swaps = _reduce_display(display(b, p))
     xs, ys = _xy_sets(gamma_vector(d))
     total = 2 * hooks + sum(s[2] for s in swaps) + min(len(xs), len(ys))
@@ -276,50 +275,24 @@ def _extract_type_params(xi: Bipartition, p: Params, btype: str):
     """Integers (i, j, k, l[, m]) from the nucleus boundary, or None if
     the orientation convention fails."""
     e = p.e
-    ps = _shifted(p)
-    add, rem = boundary_nodes(xi, ps)
-    rem1 = [r for nd, r in rem if nd.component == 1]
-    rem2 = [r for nd, r in rem if nd.component == 2]
+    cells = corners(xi, _shifted(p))
+    # per component, in reading order: a component's two addable residues
+    # lie just past its top-right and its bottom-left corner
+    rem, add = ([[i for c, _, _, i, s in cells if c == a and s == sign]
+                 for a in (1, 2)] for sign in "-+")
 
-    def corner_residues(a):
-        # residues just past the top-right and bottom-left corners
-        nodes = [nd for nd, _ in add if nd.component == a]
-        if len(nodes) != 2:
-            return None
-        top = min(nodes, key=lambda nd: nd.row)
-        bot = max(nodes, key=lambda nd: nd.row)
-        return residue(top, ps), residue(bot, ps)
-
-    if btype == "II":
-        if len(rem1) != 1 or rem2:
-            return None
-        i = rem1[0]
-        pair = corner_residues(1)
-        add2 = [r for nd, r in add if nd.component == 2]
-        if pair is None or len(add2) != 1:
-            return None
-        j, l = _rep(i, pair[0] - 1, e), _rep(i, pair[1] - 1, e)
-        k = _rep(i, add2[0] - 1, e)
+    shape = [len(r) for r in rem + add]
+    if btype == "II" and shape == [1, 0, 2, 1]:
+        i = rem[0][0]
+        j, l, k = (_rep(i, t - 1, e) for t in add[0] + add[1])
         if i <= j <= k <= l <= e + i - 2:
             return (i, j, k, l)
-        return None
-
-    if btype in _OFFSET:
+    elif btype in _OFFSET and shape == [1, 1, 2, 2]:
         off = _OFFSET[btype]
-        if len(rem1) != 1 or len(rem2) != 1:
-            return None
-        i = (rem1[0] - off) % e
-        if rem2[0] != i:
-            return None
-        p1, p2 = corner_residues(1), corner_residues(2)
-        if p1 is None or p2 is None:
-            return None
-        j, l = _rep(i, p1[0] - 1, e), _rep(i, p1[1] - 1, e)
-        k, m = _rep(i, p2[0] - 1, e), _rep(i, p2[1] - 1, e)
-        if i + off <= j <= k <= l <= m <= e + i - 2:
+        i = (rem[0][0] - off) % e
+        j, l, k, m = (_rep(i, t - 1, e) for t in add[0] + add[1])
+        if rem[1][0] == i and i + off <= j <= k <= l <= m <= e + i - 2:
             return (i, j, k, l, m)
-        return None
-
     return None
 
 
@@ -417,7 +390,7 @@ def _build_family(member: Bipartition, p: Params,
     for swapped in (False, True):
         q = p.swap() if swapped else p
         m = swap_components(member) if swapped else member
-        d, _, _, _ = _reduce_display(display(m, q, n=member.size))
+        d, _, _, _ = _reduce_display(display(m, q))
         xs, ys = _xy_sets(gamma_vector(d))
         if len(ys) == 1:
             attempts.append((swapped, q, d, xs | ys, next(iter(ys))))
@@ -451,17 +424,22 @@ def _analyze(key: BlockKey, p: Params):
 
 
 def _analyze_member(member: Bipartition, p: Params):
-    key = BlockKey(member.size, content_counts(member, p))
-    delta = delta_vector(member, p)
-    trace = weight_trace(member, p)
-    wt = trace.total
-    # push_up counts no move exactly when no bead moves
-    core = trace.hooks_removed == 0 and not trace.swaps
+    key, delta = block_key(member, p)
+    wt = _content_weight(key.content, p)
+    # the reduction of weight_trace moves nothing exactly when push_up
+    # moves no bead (the display is a bicore) and no gamma gap is 3 or
+    # more (no swap)
+    d = display(member, p)
+    core = is_bicore(d) and _swap_candidates(gamma_vector(d)) is None
     btype = _btype(delta)
-    family = None
-    type_params = None
+    family = type_params = None
     if wt == 1 or (wt == 3 and not core):
         candidates = _build_family(member, p, wt)
+        # the first order whose nucleus reads back a parameter window; if
+        # the nucleus has the mirrored chirality in both component orders
+        # (possible when kappa is symmetric), the labels still work, only
+        # the parameter window is unavailable
+        family = candidates[0]
         if wt == 3 and btype in ("II", "III", "IV"):
             for cand in candidates:
                 oriented_p = cand.params.swap() if cand.swapped else cand.params
@@ -469,13 +447,6 @@ def _analyze_member(member: Bipartition, p: Params):
                 if tp is not None:
                     family, type_params = cand, tp
                     break
-            if family is None:
-                # the nucleus has the mirrored chirality in both component
-                # orders (possible when kappa is symmetric); the labels
-                # still work, only the parameter window is unavailable
-                family = candidates[0]
-        else:
-            family = candidates[0]
     desc = BlockDescriptor(
         key=key, weight=wt, delta=delta, is_core=core, btype=btype,
         nucleus=family.xi if family else None,
@@ -516,8 +487,8 @@ def exceptional_labels(fam: BlockFamily) -> list[MemberLabel]:
         return []
     out = []
     for lab in fam.labels:
-        add, _ = boundary_nodes(lab.bipartition, p)
-        add_res = {r for _, r in add}
+        add_res = {i for _, _, _, i, sign in corners(lab.bipartition, p)
+                   if sign == "+"}
         if all(i in add_res for i in pos):
             out.append(lab)
     return out

@@ -132,19 +132,27 @@ def _is_int(x) -> bool:
     return type(x) is int
 
 
+def _field(doc: dict, name: str, where: str = ""):
+    if name not in doc:
+        raise ValueError(f"missing field {where}{name}")
+    return doc[name]
+
+
+def _bool_field(value, name: str) -> bool:
+    if type(value) is not bool:
+        raise ValueError(f"field {name} must be true or false")
+    return value
+
+
 def _parse_bip_fields(doc: dict, where: str = "") -> Bipartition:
-    for field in ("comp1", "comp2"):
-        if field not in doc:
-            raise ValueError(f"missing field {where}{field}")
-    return bip(_int_list_field(doc["comp1"], where + "comp1"),
-               _int_list_field(doc["comp2"], where + "comp2"))
+    return bip(_int_list_field(_field(doc, "comp1", where), where + "comp1"),
+               _int_list_field(_field(doc, "comp2", where), where + "comp2"))
 
 
 def _parse_key_fields(doc: dict) -> BlockKey:
-    if "n" not in doc or "content" not in doc:
-        raise ValueError("missing field block.n or block.content")
-    return BlockKey(_int_field(doc["n"], "n"),
-                    _int_list_field(doc["content"], "content"))
+    return BlockKey(_int_field(_field(doc, "n", "block."), "n"),
+                    _int_list_field(_field(doc, "content", "block."),
+                                    "content"))
 
 
 def parse(text: str):
@@ -165,18 +173,21 @@ def parse(text: str):
             flags=_cell_table(doc, "flags", *shape,
                               lambda x: x in ("direct", "clamped")))
     if "weight" in doc and "block" in doc:
+        nucleus, z_set, params = (_field(doc, name) for name in
+                                  ("nucleus", "zSet", "typeParams"))
         return BlockDescriptor(
             key=_parse_key_fields(doc["block"]),
-            weight=int(doc["weight"]),
-            delta=tuple(doc["delta"]),
-            is_core=doc["isCore"],
-            btype=doc["type"],
-            nucleus=None if doc["nucleus"] is None
-            else _parse_bip_fields(doc["nucleus"], "nucleus."),
-            z_set=None if doc["zSet"] is None else frozenset(doc["zSet"]),
-            type_params=None if doc["typeParams"] is None
-            else tuple(doc["typeParams"]),
-            swapped=doc["swapped"])
+            weight=_int_field(doc["weight"], "weight"),
+            delta=_int_list_field(_field(doc, "delta"), "delta"),
+            is_core=_bool_field(_field(doc, "isCore"), "isCore"),
+            btype=_field(doc, "type"),
+            nucleus=None if nucleus is None
+            else _parse_bip_fields(nucleus, "nucleus."),
+            z_set=None if z_set is None
+            else frozenset(_int_list_field(z_set, "zSet")),
+            type_params=None if params is None
+            else _int_list_field(params, "typeParams"),
+            swapped=_bool_field(_field(doc, "swapped"), "swapped"))
     if "comp1" in doc:
         return _parse_bip_fields(doc)
     raise ValueError("unrecognized document shape")
@@ -585,8 +596,12 @@ def _render_kv_table(pairs) -> str:
 
 def _read_doc(text: str) -> dict:
     if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as fh:
-            text = fh.read()
+        path = text[1:]
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read {path}: {exc.strerror}") from None
     return _load_doc(text)
 
 

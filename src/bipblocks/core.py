@@ -6,6 +6,8 @@ Everything here is an immutable value; all functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import ge
 from typing import Iterator, NamedTuple, Optional
 
 
@@ -130,34 +132,30 @@ def conjugate_node(node: Node) -> Node:
     return Node(node.col, node.row, 3 - node.component)
 
 
-def _partial_sums(b: Bipartition, count: int) -> list[int]:
-    """Interleaved dominance partial sums (2*count entries)."""
-    out = []
-    s1 = 0
-    s2 = b.comp1.size
-    for r in range(1, count + 1):
-        s1 += b.comp1.row(r)
-        s2 += b.comp2.row(r)
-        out.append(s1)
-        out.append(s2)
-    return out
+def dominance_key(b: Bipartition) -> tuple[int, ...]:
+    """Interleaved dominance partial sums, 2n entries: the cells in the
+    first r rows of component 1, then all of component 1 and the first r
+    rows of component 2, for r = 1, ..., n.
+
+    a dominates b when every entry of key(a) is at least the matching
+    entry of key(b). The keys also sort canonically: lexicographic
+    comparison refines dominance, so a dominates b implies
+    key(a) >= key(b).
+    """
+    c1, c2 = b.comp1, b.comp2
+    m = c1.size
+    # past its last row each component's sum stays put: fill, then
+    # overwrite the rows
+    key = [m, b.size] * b.size
+    key[0:2 * len(c1):2] = accumulate(c1)
+    key[1:2 * len(c2):2] = [m + s for s in accumulate(c2)]
+    return tuple(key)
 
 
 def dominates(a: Bipartition, b: Bipartition) -> bool:
     if a.size != b.size:
         raise ValueError("dominance needs equal sizes")
-    n = max(len(a.comp1), len(a.comp2), len(b.comp1), len(b.comp2))
-    pa, pb = _partial_sums(a, n), _partial_sums(b, n)
-    return all(x >= y for x, y in zip(pa, pb))
-
-
-def dominance_key(b: Bipartition) -> tuple:
-    """Canonical sort key: interleaved partial-sum vector, 2n entries.
-
-    Lexicographic comparison of keys refines dominance: a dominates b
-    implies key(a) >= key(b).
-    """
-    return tuple(_partial_sums(b, b.size))
+    return all(map(ge, dominance_key(a), dominance_key(b)))
 
 
 def canonical_sort(bips) -> list[Bipartition]:

@@ -13,10 +13,11 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import ge
 
 from .core import (
-    Bipartition, InvariantError, Params, RimHook, canonical_sort, dominates,
-    residue, rim_hooks,
+    Bipartition, InvariantError, Params, RimHook, canonical_sort,
+    dominance_key, dominates, residue, rim_hooks,
 )
 from .blocks import (
     BlockKey, block_weight, content_counts, enumerate_block, weight,
@@ -106,21 +107,21 @@ def _valuation_table(members, p: Params) -> dict:
     a before b in ``members`` (canonical order, most dominant first).
 
     A hash join: every hook is bucketed under (its rest, hand residue), and
-    hooks are paired only within a bucket. Dominance is tested before any
+    hooks are paired only within a bucket. Each member's dominance key is
+    computed once, and dominance is tested on the keys before any
     valuation of a member pair is taken.
     """
     buckets = defaultdict(list)
     for i, m in enumerate(members):
         for h, rest in _hook_data(m):
             buckets[(rest, residue(h.hand, p))].append((i, h))
-    dominating, sums = {}, defaultdict(int)
+    keys = [dominance_key(m) for m in members]
+    sums = defaultdict(int)
     for bucket in buckets.values():
         # a rest and its hook give back the member, so a bucket
         # holds at most one hook per member, in member order: i < j
         for (i, L), (j, N) in combinations(bucket, 2):
-            if (i, j) not in dominating:
-                dominating[i, j] = dominates(members[i], members[j])
-            if dominating[i, j]:
+            if all(map(ge, keys[i], keys[j])):
                 sums[i, j] += _epsilon(L, N) * _pair_valuation(L, N, p)
     return {(members[i], members[j]): v
             for (i, j), v in sorted(sums.items()) if v}

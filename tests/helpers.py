@@ -52,3 +52,25 @@ def removable_nodes(b: Bipartition) -> list[Node]:
             if part.row(r) > part.row(r + 1):
                 out.append(Node(r, part.row(r), a))
     return out
+
+
+# The row-wise dominance test that core.dominance_key replaced, kept as an
+# oracle for core.dominates.
+
+def partial_sums(b: Bipartition, count: int) -> list[int]:
+    """Interleaved dominance partial sums (2*count entries)."""
+    out = []
+    s1 = 0
+    s2 = b.comp1.size
+    for r in range(1, count + 1):
+        s1 += b.comp1.row(r)
+        s2 += b.comp2.row(r)
+        out.append(s1)
+        out.append(s2)
+    return out
+
+
+def dominates_by_rows(a: Bipartition, b: Bipartition) -> bool:
+    n = max(len(a.comp1), len(a.comp2), len(b.comp1), len(b.comp2))
+    pa, pb = partial_sums(a, n), partial_sums(b, n)
+    return all(x >= y for x, y in zip(pa, pb))

@@ -121,7 +121,8 @@ class TestWeight:
 
 
 class TestClosedFormWeightOracle:
-    """The closed-form weight against the abacus reduction."""
+    """The closed-form weight, and the classification read off it and off
+    one display, against the abacus reduction."""
 
     @pytest.mark.parametrize("e", [2, 3, 4, 5])
     def test_every_small_bipartition(self, e):
@@ -136,6 +137,11 @@ class TestClosedFormWeightOracle:
                     blocks_seen.setdefault(key, total)
             for key, total in blocks_seen.items():
                 assert block_weight(key, p) == total, (key, p)
+                trace = weight_trace(_member_of(key, p), p)
+                desc = classify_type(key, p)
+                assert desc.weight == trace.total, (key, p)
+                assert desc.is_core == (trace.hooks_removed == 0
+                                        and not trace.swaps), (key, p)
 
 
 class TestEnumerate:

@@ -8,17 +8,19 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from bipblocks.core import Params, bip, canonical_sort
-from bipblocks.blocks import block_key, classify_type
+from bipblocks.blocks import (
+    BlockDescriptor, BlockKey, block_key, classify_type,
+)
 from bipblocks import blocks, js
-from bipblocks.js import decomposition_matrix
+from bipblocks.js import DecompMatrix, decomposition_matrix
 from bipblocks.cli import (
     CACHE_ENV, CASES, main, parse, serialize, verify_case, cached_matrix,
     VerifyReport, Check, _cache_path,
 )
-from helpers import small_bips
+from helpers import bips_of, small_bips
 
 
 def run(*args, env=None):
@@ -27,6 +29,37 @@ def run(*args, env=None):
 
 DOC = '{"e":4,"kappa":[0,3],"charp":0,"comp1":[4],"comp2":[4,1,1]}'
 H5DOC = '{"e":2,"kappa":[1,1],"charp":0,"comp1":[],"comp2":[2,1,1,1]}'
+
+ints = st.integers(-50, 50)
+int_tuples = st.lists(ints, max_size=6).map(tuple)
+block_keys = st.builds(BlockKey, st.integers(0, 50), int_tuples)
+
+descriptors = st.builds(
+    BlockDescriptor, key=block_keys, weight=ints, delta=int_tuples,
+    is_core=st.booleans(),
+    btype=st.sampled_from(["I", "II", "III", "IV", "other"]),
+    nucleus=st.none() | small_bips(6),
+    z_set=st.none() | st.frozensets(st.integers(0, 10)),
+    type_params=st.none() | int_tuples, swapped=st.booleans())
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.sampled_from(bips_of(n)), max_size=5))
+    cols = draw(st.lists(st.sampled_from(bips_of(n)), max_size=4))
+
+    def table(cells):
+        return tuple(tuple(draw(cells) for _ in cols) for _ in rows)
+
+    return DecompMatrix(
+        draw(block_keys), tuple(rows), tuple(cols), table(ints),
+        table(ints), table(st.sampled_from(["direct", "clamped"])))
+
+
+P43 = Params.make(4, (0, 3))
+# a weight-3 block's descriptor: every optional field is set
+DESC = serialize(classify_type(block_key(bip((4,), (4, 1, 1)), P43)[0], P43))
 
 
 class TestSerialization:
@@ -61,6 +94,44 @@ class TestSerialization:
     def test_missing_field(self):
         with pytest.raises(ValueError, match="comp2"):
             parse('{"comp1":[4]}')
+
+    @given(descriptors)
+    def test_any_descriptor_round_trip(self, desc):
+        assert parse(serialize(desc)) == desc
+
+    @given(matrices())
+    def test_any_matrix_round_trip(self, m):
+        assert parse(serialize(m)) == m
+
+    # values int() or a truth test would have read, and absent fields
+    @pytest.mark.parametrize("field, value, message", [
+        ("weight", 3.9, "field weight must be an integer"),
+        ("weight", True, "field weight must be an integer"),
+        ("delta", [0, 1.5, 0, -1], "field delta must be a list"),
+        ("delta", "0", "field delta must be a list"),
+        ("isCore", "no", "field isCore must be true or false"),
+        ("isCore", 0, "field isCore must be true or false"),
+        ("swapped", None, "field swapped must be true or false"),
+        ("zSet", [0, "1"], "field zSet must be a list"),
+        ("typeParams", [0, 1, 1, 2.0, 3], "field typeParams must be a list"),
+        ("delta", None, "missing field delta"),
+        ("isCore", None, "missing field isCore"),
+        ("zSet", None, "missing field zSet"),
+        ("swapped", None, "missing field swapped"),
+        ("n", None, "missing field block.n"),
+    ], ids=["weight-float", "weight-bool", "delta-float", "delta-string",
+            "isCore-string", "isCore-int", "swapped-null", "zSet-string",
+            "typeParams-float", "no-delta", "no-isCore", "no-zSet",
+            "no-swapped", "no-n"])
+    def test_checked_descriptor_fields(self, field, value, message):
+        doc = json.loads(DESC)
+        target = doc["block"] if field == "n" else doc
+        if message.startswith("missing"):
+            del target[field]
+        else:
+            target[field] = value
+        with pytest.raises(ValueError, match=message):
+            parse(json.dumps(doc))
 
 
 class TestVerifier:
@@ -256,6 +327,32 @@ class TestCommands:
         assert res.exit_code == 1
         assert res.output == f"error: {self.KEY_ERRORS[content]}\n"
 
+    @pytest.mark.parametrize("command, flag", [(["bip", "info"], "--bip"),
+                                               (["block", "info"], "--block"),
+                                               (["decomp"], "--block")])
+    @pytest.mark.parametrize("target, reason", [
+        ("missing.json", "No such file or directory"),
+        ("", "Is a directory")], ids=["missing", "directory"])
+    def test_unreadable_document(self, tmp_path, command, flag, target,
+                                 reason):
+        path = tmp_path / target if target else tmp_path
+        res = run(*command, flag, f"@{path}")
+        assert res.exit_code == 1
+        assert res.output == f"error: cannot read {path}: {reason}\n"
+
+    def test_large_block_classified_at_once(self):
+        # classification reads the closed form and one display: no abacus
+        # trace of a 40,000-cell member
+        doc = ('{"e":4,"kappa":[0,3],"charp":0,"n":40000,'
+               '"content":[10000,10000,10000,10000]}')
+        start = time.perf_counter()
+        res = run("block", "info", "--block", doc)
+        assert time.perf_counter() - start < 5
+        assert res.exit_code == 0, res.output
+        desc = json.loads(res.output)
+        assert (desc["weight"], desc["delta"], desc["isCore"], desc["type"],
+                desc["nucleus"]) == (20000, [-1, 0, 0, -1], False, "I", None)
+
     def test_oversized_block_refused_at_once(self):
         # the weight comes from the content: no abacus reduction of a
         # 100,000-cell member
@@ -447,21 +544,36 @@ def test_benchmark_bindings_are_traced():
     script = textwrap.dedent("""
         import json
         import spans
-        from bipblocks import cli
+        from bipblocks import blocks, cli
+        from bipblocks.core import Params
         tracer = spans.Tracer()
         spans.instrument(tracer)
         cli.verify_case(cli.CASES["IV-e2-H5"])
-        print(json.dumps([sorted({s[0] for s in tracer.spans}),
-                          tracer.counts["crystal.signature"]]))
+        # a non-core weight-3 block, keyed without a traced call
+        desc = blocks.classify_type(blocks.BlockKey(10, (2, 3, 3, 2)),
+                                    Params.make(4, (0, 3)))
+        recs = tracer.spans
+        under_analysis = {s[0] for s in recs
+                          if s[1] >= 0 and recs[s[1]][0]
+                          == "blocks.analyze_member"}
+        print(json.dumps([sorted({s[0] for s in recs}),
+                          tracer.counts["crystal.signature"],
+                          sorted(under_analysis),
+                          [desc.weight, desc.is_core]]))
     """)
     path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
     res = subprocess.run([sys.executable, "-c", script], cwd=root,
                          env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    names, signatures = json.loads(res.stdout)
+    names, signatures, under_analysis, desc = json.loads(res.stdout)
     assert {"cli.verify_case", "js.matrix_from_members",
             "blocks.family_from_type_params", "js.valuation_table",
             "js.hook_data", "core.rim_hooks", "crystal.is_restricted",
-            "crystal.mu_diamond", "blocks.weight"} <= set(names)
+            "crystal.mu_diamond", "blocks.weight", "blocks.classify_type",
+            "blocks.analyze_member", "blocks.member_of", "blocks.block_key",
+            "abacus.display"} <= set(names)
+    # classification keys the member and reads its display
+    assert desc == [3, False]
+    assert {"blocks.block_key", "abacus.display"} <= set(under_analysis)
     assert signatures > 0

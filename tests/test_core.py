@@ -14,7 +14,7 @@ from bipblocks.core import (
 
 from helpers import (
     small_bips, bip_pairs, params_st, bips_of, addable_nodes,
-    removable_nodes,
+    removable_nodes, dominates_by_rows, partial_sums,
 )
 
 
@@ -114,6 +114,18 @@ class TestDominance:
         a, b = pair
         if dominates(a, b):
             assert dominance_key(a) >= dominance_key(b)
+
+    def test_dominates_matches_row_sums(self):
+        # every ordered pair of equal-size bipartitions with n <= 7
+        for n in range(8):
+            for a in bips_of(n):
+                for b in bips_of(n):
+                    assert dominates(a, b) == dominates_by_rows(a, b), (a, b)
+
+    def test_key_is_the_row_sums(self):
+        for n in range(9):
+            for b in bips_of(n):
+                assert dominance_key(b) == tuple(partial_sums(b, n)), b
 
     def test_canonical_sort_deterministic(self):
         bips = list(bipartitions(4))
