@@ -97,12 +97,15 @@ def _load_doc(text: str) -> dict:
     return doc
 
 
-# int() would truncate a float and read a bool or a string of digits, so
-# document fields accept only JSON integers: type(x) is int.
+# int() would truncate a float and read a bool or a string of digits, and
+# bool() would read any value, so a typed field accepts only its own JSON
+# type: type(x) is int, bool or str.
+_KINDS = {int: "an integer", bool: "true or false", str: "a string"}
 
-def _int_field(value, name: str) -> int:
-    if type(value) is not int:
-        raise ValueError(f"field {name} must be an integer")
+
+def _typed(value, name: str, kind: type):
+    if type(value) is not kind:
+        raise ValueError(f"field {name} must be {_KINDS[kind]}")
     return value
 
 
@@ -115,33 +118,21 @@ def _int_list_field(value, name: str,
     return tuple(value)
 
 
-def _cell_table(doc: dict, name: str, rows: int, cols: int,
-                cell_ok) -> tuple[tuple, ...]:
-    """A matrix field: ``rows`` lists of ``cols`` cells that pass
-    ``cell_ok``."""
-    table = doc[name]
+def _bound_table(doc: dict, rows: int, cols: int) -> tuple[tuple, ...]:
+    """A matrix's jBounds: ``rows`` lists of ``cols`` integers >= 0."""
+    table = _field(doc, "jBounds")
     if not isinstance(table, list) or len(table) != rows or any(
             not isinstance(r, list) or len(r) != cols
-            or not all(map(cell_ok, r)) for r in table):
-        raise ValueError(f"field {name} must be {rows} lists of {cols} "
-                         "cells")
+            or any(type(j) is not int or j < 0 for j in r) for r in table):
+        raise ValueError(f"field jBounds must be {rows} lists of {cols} "
+                         "integers >= 0")
     return tuple(map(tuple, table))
 
 
-def _is_int(x) -> bool:
-    return type(x) is int
-
-
 def _field(doc: dict, name: str, where: str = ""):
-    if name not in doc:
+    if not isinstance(doc, dict) or name not in doc:
         raise ValueError(f"missing field {where}{name}")
     return doc[name]
-
-
-def _bool_field(value, name: str) -> bool:
-    if type(value) is not bool:
-        raise ValueError(f"field {name} must be true or false")
-    return value
 
 
 def _parse_bip_fields(doc: dict, where: str = "") -> Bipartition:
@@ -150,36 +141,46 @@ def _parse_bip_fields(doc: dict, where: str = "") -> Bipartition:
 
 
 def _parse_key_fields(doc: dict) -> BlockKey:
-    return BlockKey(_int_field(_field(doc, "n", "block."), "n"),
+    return BlockKey(_typed(_field(doc, "n", "block."), "n", int),
                     _int_list_field(_field(doc, "content", "block."),
                                     "content"))
+
+
+def _parse_check(doc) -> Check:
+    name, expected, actual, passed = (_field(doc, f, "checks.") for f in
+                                      ("name", "expected", "actual", "pass"))
+    return Check(_typed(name, "checks.name", str), expected, actual,
+                 _typed(passed, "checks.pass", bool))
 
 
 def parse(text: str):
     """Inverse of serialize; the value type is inferred from the keys."""
     doc = _load_doc(text)
     if "caseId" in doc:
-        checks = tuple(Check(c["name"], c["expected"], c["actual"],
-                             c["pass"]) for c in doc["checks"])
-        return VerifyReport(doc["caseId"], checks, doc["overall"])
+        checks = _field(doc, "checks")
+        if not isinstance(checks, list):
+            raise ValueError("field checks must be a list")
+        return VerifyReport(_typed(_field(doc, "caseId"), "caseId", str),
+                            tuple(map(_parse_check, checks)),
+                            _typed(_field(doc, "overall"), "overall", bool))
     if "entries" in doc:
         rows = tuple(_parse_bip_fields(d, "rows.") for d in doc["rows"])
         cols = tuple(_parse_bip_fields(d, "cols.") for d in doc["cols"])
-        shape = (len(rows), len(cols))
-        return DecompMatrix(
-            block=_parse_key_fields(doc["block"]), rows=rows, cols=cols,
-            entries=_cell_table(doc, "entries", *shape, _is_int),
-            jbounds=_cell_table(doc, "jBounds", *shape, _is_int),
-            flags=_cell_table(doc, "flags", *shape,
-                              lambda x: x in ("direct", "clamped")))
+        m = DecompMatrix(_parse_key_fields(doc["block"]), rows, cols,
+                         _bound_table(doc, len(rows), len(cols)))
+        # entries and flags derive from jBounds: stored ones must match
+        for name in ("entries", "flags"):
+            if json.dumps(_field(doc, name)) != json.dumps(getattr(m, name)):
+                raise ValueError(f"field {name} disagrees with jBounds")
+        return m
     if "weight" in doc and "block" in doc:
         nucleus, z_set, params = (_field(doc, name) for name in
                                   ("nucleus", "zSet", "typeParams"))
         return BlockDescriptor(
             key=_parse_key_fields(doc["block"]),
-            weight=_int_field(doc["weight"], "weight"),
+            weight=_typed(doc["weight"], "weight", int),
             delta=_int_list_field(_field(doc, "delta"), "delta"),
-            is_core=_bool_field(_field(doc, "isCore"), "isCore"),
+            is_core=_typed(_field(doc, "isCore"), "isCore", bool),
             btype=_field(doc, "type"),
             nucleus=None if nucleus is None
             else _parse_bip_fields(nucleus, "nucleus."),
@@ -187,7 +188,7 @@ def parse(text: str):
             else frozenset(_int_list_field(z_set, "zSet")),
             type_params=None if params is None
             else _int_list_field(params, "typeParams"),
-            swapped=_bool_field(_field(doc, "swapped"), "swapped"))
+            swapped=_typed(_field(doc, "swapped"), "swapped", bool))
     if "comp1" in doc:
         return _parse_bip_fields(doc)
     raise ValueError("unrecognized document shape")
@@ -348,10 +349,8 @@ def verify_case(spec: CaseSpec, e: Optional[int] = None,
             record("restricted columns", payload[0],
                    len(need_matrix().cols))
         elif kind == "column-max":
-            mat = need_matrix()
-            worst = max(mat.entry(lam, col)
-                        for lam in mat.rows for col in mat.cols)
-            record("largest entry", payload[0], worst)
+            record("largest entry", payload[0],
+                   max(map(max, need_matrix().entries)))
         elif kind in ("dn", "jbound"):
             name, argexpr, value = payload
             mat = need_matrix()
@@ -625,11 +624,11 @@ def _parse_params(text: str) -> tuple[int, ...]:
 def _resolve(doc: Optional[dict], e, kappa, charp) -> Params:
     doc = doc or {}
     if e is None and "e" in doc:
-        e = _int_field(doc["e"], "e")
+        e = _typed(doc["e"], "e", int)
     if kappa is None and "kappa" in doc:
         kappa = _int_list_field(doc["kappa"], "kappa", 2)
     if charp is None:
-        charp = _int_field(doc.get("charp", 0), "charp")
+        charp = _typed(doc.get("charp", 0), "charp", int)
     if e is None or kappa is None:
         raise click.UsageError("supply --e and --kappa (or a document "
                                "carrying them)")

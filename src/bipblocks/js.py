@@ -16,8 +16,8 @@ from itertools import combinations
 from operator import ge
 
 from .core import (
-    Bipartition, InvariantError, Params, RimHook, canonical_sort,
-    dominance_key, dominates, residue, rim_hooks,
+    Bipartition, InvariantError, Params, RimHook, dominance_key, dominates,
+    residue, rim_hooks,
 )
 from .blocks import (
     BlockKey, block_weight, content_counts, enumerate_block, weight,
@@ -102,20 +102,25 @@ def js_valuation(lam: Bipartition, nu: Bipartition, p: Params) -> int:
                for pair in hook_pairs(lam, nu, p))
 
 
-def _valuation_table(members, p: Params) -> dict:
-    """The nonzero signed valuation sums of the dominating pairs (a, b),
-    a before b in ``members`` (canonical order, most dominant first).
+def _ranked(members) -> tuple[tuple[Bipartition, ...], list[tuple]]:
+    """Canonical order, most dominant first, and each member's key."""
+    ranked = sorted(((dominance_key(m), m) for m in members), reverse=True)
+    return tuple(m for _, m in ranked), [k for k, _ in ranked]
+
+
+def _valuation_table(members, keys, p: Params) -> dict:
+    """The nonzero signed valuation sums {(i, j): v} of the dominating
+    pairs of members, i < j: ``members`` in canonical order (most dominant
+    first) and ``keys`` their dominance keys.
 
     A hash join: every hook is bucketed under (its rest, hand residue), and
-    hooks are paired only within a bucket. Each member's dominance key is
-    computed once, and dominance is tested on the keys before any
-    valuation of a member pair is taken.
+    hooks are paired only within a bucket. Dominance is tested on the keys
+    before any valuation of a member pair is taken.
     """
     buckets = defaultdict(list)
     for i, m in enumerate(members):
         for h, rest in _hook_data(m):
             buckets[(rest, residue(h.hand, p))].append((i, h))
-    keys = [dominance_key(m) for m in members]
     sums = defaultdict(int)
     for bucket in buckets.values():
         # a rest and its hook give back the member, so a bucket
@@ -123,8 +128,7 @@ def _valuation_table(members, p: Params) -> dict:
         for (i, L), (j, N) in combinations(bucket, 2):
             if all(map(ge, keys[i], keys[j])):
                 sums[i, j] += _epsilon(L, N) * _pair_valuation(L, N, p)
-    return {(members[i], members[j]): v
-            for (i, j), v in sorted(sums.items()) if v}
+    return {ij: v for ij, v in sums.items() if v}
 
 
 @dataclass(frozen=True)
@@ -139,77 +143,77 @@ class JSOrder:
 
 
 def order_from_members(members, p: Params) -> JSOrder:
-    members = canonical_sort(members)
-    edges = {m: [] for m in members}
-    for a, b in _valuation_table(members, p):
-        edges[a].append(b)
-    below = {}
-    for m in reversed(members):  # ascending dominance: successors first
-        reach = set()
-        for b in edges[m]:
-            # every edge runs down the canonical order, so none closes a
-            # cycle and every successor is already done
-            if b not in below:
-                raise InvariantError(
-                    f"refined order: the step {m} -> {b} runs against the "
-                    "canonical order and could close a cycle")
-            reach.add(b)
-            reach |= below[b]
-        below[m] = reach
-    strict = frozenset((a, b) for a in members for b in below[a])
-    return JSOrder(tuple(members), strict)
+    members, keys = _ranked(members)
+    below = [set() for _ in members]
+    # steps of later rows first: every step runs down the canonical order,
+    # so none closes a cycle and each successor's set is already complete
+    for i, j in sorted(_valuation_table(members, keys, p), reverse=True):
+        if j <= i:
+            raise InvariantError(
+                f"refined order: the step {members[i]} -> {members[j]} runs "
+                "against the canonical order and could close a cycle")
+        below[i] |= {j} | below[j]
+    strict = frozenset((members[i], members[j])
+                       for i, reach in enumerate(below) for j in reach)
+    return JSOrder(members, strict)
+
+
+def _flag(j: int) -> str:
+    return "clamped" if j >= 2 else "direct"
 
 
 @dataclass(frozen=True)
 class DecompMatrix:
+    """A block's matrix, stored as its bound table: cell (r, c) has bound
+    j, entry [j > 0] (a decomposition number of weight <= 3 is 0 or 1) and
+    flag "clamped" iff j >= 2, else "direct". Entries and flags are derived."""
+
     block: BlockKey
     rows: tuple[Bipartition, ...]  # all members, most dominant first
     cols: tuple[Bipartition, ...]  # the restricted members
-    entries: tuple[tuple[int, ...], ...]
     jbounds: tuple[tuple[int, ...], ...]
-    flags: tuple[tuple[str, ...], ...]
 
+    entries: tuple = field(init=False, repr=False, compare=False)
+    flags: tuple = field(init=False, repr=False, compare=False)
     # position of each row and column, for O(1) cell lookups
     _row_at: dict = field(init=False, repr=False, compare=False)
     _col_at: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        derived = {"entries": lambda j: int(j > 0), "flags": _flag}
+        for name, cell in derived.items():
+            object.__setattr__(self, name, tuple(tuple(map(cell, r))
+                                                 for r in self.jbounds))
         object.__setattr__(self, "_row_at",
                            {b: r for r, b in enumerate(self.rows)})
         object.__setattr__(self, "_col_at",
                            {b: c for c, b in enumerate(self.cols)})
 
-    def _at(self, lam: Bipartition, mu: Bipartition) -> tuple[int, int, str]:
-        r, c = self._row_at[lam], self._col_at[mu]
-        return self.entries[r][c], self.jbounds[r][c], self.flags[r][c]
-
     def entry(self, lam: Bipartition, mu: Bipartition) -> int:
-        return self._at(lam, mu)[0]
+        return self.entries[self._row_at[lam]][self._col_at[mu]]
 
     def jbound(self, lam: Bipartition, mu: Bipartition) -> int:
-        return self._at(lam, mu)[1]
+        return self.jbounds[self._row_at[lam]][self._col_at[mu]]
 
     def flag(self, lam: Bipartition, mu: Bipartition) -> str:
-        return self._at(lam, mu)[2]
+        return self.flags[self._row_at[lam]][self._col_at[mu]]
 
 
-def _solve_column(ascending, by_row, mu, p: Params):
-    dn, bounds, flags = {}, {}, {}
-    for lam in ascending:
-        if lam == mu:
-            dn[lam], bounds[lam], flags[lam] = 1, 1, "direct"
-            continue
-        j = sum(v * dn[nu] for nu, v in by_row[lam].items() if dn[nu])
+def _solve_column(r: int, by_row, members, keys):
+    """Entry, bound and flag of rows r..0 of row r's column. Rows below r
+    are 0, since every table step (i, j) has i < j."""
+    mu = members[r]
+    dn, bounds, flags = {r: 1}, {r: 1}, {r: "direct"}
+    for i in range(r - 1, -1, -1):
+        j = sum(v for k, v in by_row[i] if dn.get(k))
         if j < 0:
             raise InvariantError(
-                f"column solve of {mu}: negative bound {j} at {lam}")
-        if j > 0 and not dominates(lam, mu):
+                f"column solve of {mu}: negative bound {j} at {members[i]}")
+        if j > 0 and not all(map(ge, keys[i], keys[r])):
             raise InvariantError(
-                f"column solve of {mu}: nonzero bound {j} at {lam}, which "
-                "does not dominate it")
-        dn[lam] = 1 if j > 0 else 0
-        bounds[lam] = j
-        flags[lam] = "clamped" if j >= 2 else "direct"
+                f"column solve of {mu}: nonzero bound {j} at {members[i]}, "
+                "which does not dominate it")
+        dn[i], bounds[i], flags[i] = int(j > 0), j, _flag(j)
     return dn, bounds, flags
 
 
@@ -221,23 +225,18 @@ def _require_certified(wt: int) -> None:
 
 def matrix_from_members(members, p: Params) -> DecompMatrix:
     """Solve the bound recursion over an explicitly given block."""
-    rows = tuple(canonical_sort(members))
+    rows, keys = _ranked(members)
     _require_certified(weight(rows[0], p))
-    cols = tuple(m for m in rows if is_restricted(m, p)[0])
-    # group the table by dominating member so each column scan is linear
-    by_row = {m: {} for m in rows}
-    for (a, b), v in _valuation_table(rows, p).items():
-        by_row[a][b] = v
-    ascending = tuple(reversed(rows))
-    solved = [_solve_column(ascending, by_row, mu, p) for mu in cols]
-    entries = tuple(tuple(solved[c][0][lam] for c in range(len(cols)))
-                    for lam in rows)
-    jbounds = tuple(tuple(solved[c][1][lam] for c in range(len(cols)))
-                    for lam in rows)
-    flags = tuple(tuple(solved[c][2][lam] for c in range(len(cols)))
-                  for lam in rows)
+    at = [r for r, m in enumerate(rows) if is_restricted(m, p)[0]]
+    # group the table by dominating row so each column scan is linear
+    by_row = [[] for _ in rows]
+    for (i, j), v in _valuation_table(rows, keys, p).items():
+        by_row[i].append((j, v))
+    bounds = [_solve_column(r, by_row, rows, keys)[1] for r in at]
+    jbounds = tuple(tuple(col.get(i, 0) for col in bounds)
+                    for i in range(len(rows)))
     key = BlockKey(rows[0].size, content_counts(rows[0], p))
-    return DecompMatrix(key, rows, cols, entries, jbounds, flags)
+    return DecompMatrix(key, rows, tuple(rows[r] for r in at), jbounds)
 
 
 def decomposition_matrix(key: BlockKey, p: Params) -> DecompMatrix:

@@ -4,7 +4,12 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from bipblocks.core import Bipartition, Node, Params, bipartitions
+from bipblocks.core import (
+    Bipartition, InvariantError, Node, Params, bipartitions, canonical_sort,
+    dominance_key, dominates,
+)
+from bipblocks.crystal import is_restricted
+from bipblocks.js import _valuation_table
 
 
 @lru_cache(maxsize=None)
@@ -74,3 +79,42 @@ def dominates_by_rows(a: Bipartition, b: Bipartition) -> bool:
     n = max(len(a.comp1), len(a.comp2), len(b.comp1), len(b.comp2))
     pa, pb = partial_sums(a, n), partial_sums(b, n)
     return all(x >= y for x, y in zip(pa, pb))
+
+
+# The solver that js.matrix_from_members replaced, kept as its oracle: it
+# keys the table and each column by bipartition, solves every row of every
+# column, and tests each nonzero bound with core.dominates.
+
+def _solve_column_by_bips(ascending, by_row, mu):
+    dn, bounds, flags = {}, {}, {}
+    for lam in ascending:
+        if lam == mu:
+            dn[lam], bounds[lam], flags[lam] = 1, 1, "direct"
+            continue
+        j = sum(v * dn[nu] for nu, v in by_row[lam].items() if dn[nu])
+        if j < 0:
+            raise InvariantError(
+                f"column solve of {mu}: negative bound {j} at {lam}")
+        if j > 0 and not dominates(lam, mu):
+            raise InvariantError(
+                f"column solve of {mu}: nonzero bound {j} at {lam}, which "
+                "does not dominate it")
+        dn[lam] = 1 if j > 0 else 0
+        bounds[lam] = j
+        flags[lam] = "clamped" if j >= 2 else "direct"
+    return dn, bounds, flags
+
+
+def matrix_by_bips(members, p: Params):
+    """(rows, cols, entries, jbounds, flags) of the block's matrix."""
+    rows = tuple(canonical_sort(members))
+    cols = tuple(m for m in rows if is_restricted(m, p)[0])
+    by_row = {m: {} for m in rows}
+    keys = [dominance_key(m) for m in rows]
+    for (i, j), v in _valuation_table(rows, keys, p).items():
+        by_row[rows[i]][rows[j]] = v
+    ascending = tuple(reversed(rows))
+    solved = [_solve_column_by_bips(ascending, by_row, mu) for mu in cols]
+    tables = (tuple(tuple(solved[c][t][lam] for c in range(len(cols)))
+                    for lam in rows) for t in range(3))
+    return (rows, cols, *tables)

@@ -48,13 +48,22 @@ def matrices(draw):
     n = draw(st.integers(0, 5))
     rows = draw(st.lists(st.sampled_from(bips_of(n)), max_size=5))
     cols = draw(st.lists(st.sampled_from(bips_of(n)), max_size=4))
+    # entries and flags are derived from the bounds
+    jbounds = tuple(tuple(draw(st.integers(0, 50)) for _ in cols)
+                    for _ in rows)
+    return DecompMatrix(draw(block_keys), tuple(rows), tuple(cols), jbounds)
 
-    def table(cells):
-        return tuple(tuple(draw(cells) for _ in cols) for _ in rows)
 
-    return DecompMatrix(
-        draw(block_keys), tuple(rows), tuple(cols), table(ints),
-        table(ints), table(st.sampled_from(["direct", "clamped"])))
+json_values = st.recursive(
+    st.none() | st.booleans() | ints | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+reports = st.builds(
+    VerifyReport, st.text(max_size=8),
+    st.lists(st.builds(Check, st.text(max_size=8), json_values,
+                       json_values, st.booleans()), max_size=4).map(tuple),
+    st.booleans())
 
 
 P43 = Params.make(4, (0, 3))
@@ -102,6 +111,40 @@ class TestSerialization:
     @given(matrices())
     def test_any_matrix_round_trip(self, m):
         assert parse(serialize(m)) == m
+
+    @given(reports)
+    def test_any_report_round_trip(self, rep):
+        assert parse(serialize(rep)) == rep
+
+    # a report's fields are named when missing and typed: strings and
+    # JSON booleans, not values a truth test would read
+    @pytest.mark.parametrize("doc, message", [
+        ('{"caseId":"x","checks":[{}],"overall":true}',
+         "missing field checks.name"),
+        ('{"caseId":"x","checks":[],"overall":"no"}',
+         "field overall must be true or false"),
+        ('{"caseId":"x","checks":[]}', "missing field overall"),
+        ('{"caseId":"x","overall":true}', "missing field checks"),
+        ('{"caseId":7,"checks":[],"overall":true}',
+         "field caseId must be a string"),
+        ('{"caseId":"x","checks":{},"overall":true}',
+         "field checks must be a list"),
+        ('{"caseId":"x","checks":["name"],"overall":true}',
+         "missing field checks.name"),
+        ('{"caseId":"x","checks":[{"name":1,"expected":1,"actual":1,'
+         '"pass":true}],"overall":true}',
+         "field checks.name must be a string"),
+        ('{"caseId":"x","checks":[{"name":"a","expected":1,"actual":1}],'
+         '"overall":true}', "missing field checks.pass"),
+        ('{"caseId":"x","checks":[{"name":"a","expected":1,"actual":1,'
+         '"pass":1}],"overall":true}',
+         "field checks.pass must be true or false"),
+    ], ids=["check-no-name", "overall-string", "no-overall", "no-checks",
+            "caseId-int", "checks-object", "check-string", "name-int",
+            "check-no-pass", "pass-int"])
+    def test_checked_report_fields(self, doc, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse(doc)
 
     # values int() or a truth test would have read, and absent fields
     @pytest.mark.parametrize("field, value, message", [
@@ -478,6 +521,23 @@ class TestCache:
         doc[field][0][0] = value
         self._decomp_over(tmp_path, json.dumps(doc))
 
+    # well-typed cells that disagree with the cell's bound, and a negative
+    # bound whose entry 0 and flag "direct" agree with it
+    @pytest.mark.parametrize("field, bound, value", [
+        ("entries", 0, 1), ("entries", 2, 0), ("flags", 1, "clamped"),
+        ("flags", 2, "direct"), ("jBounds", 0, -1),
+    ])
+    def test_inconsistent_cell_is_a_miss(self, tmp_path, field, bound,
+                                         value):
+        doc = json.loads(serialize(decomposition_matrix(self.H5KEY,
+                                                        self.H5)))
+        r, c = next((r, c) for r, row in enumerate(doc["jBounds"])
+                    for c, j in enumerate(row) if j == bound)
+        doc[field][r][c] = value
+        with pytest.raises(ValueError):
+            parse(json.dumps(doc))
+        self._decomp_over(tmp_path, json.dumps(doc))
+
 
 class TestGoldenTables:
     """``--format table`` output on H5DOC, byte for byte; the decomp
@@ -559,15 +619,16 @@ def test_benchmark_bindings_are_traced():
         print(json.dumps([sorted({s[0] for s in recs}),
                           tracer.counts["crystal.signature"],
                           sorted(under_analysis),
-                          [desc.weight, desc.is_core]]))
+                          [desc.weight, desc.is_core],
+                          tracer.counts["js.clamped_entries"]]))
     """)
     path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
     res = subprocess.run([sys.executable, "-c", script], cwd=root,
                          env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    names, signatures, under_analysis, desc = json.loads(res.stdout)
-    assert {"cli.verify_case", "js.matrix_from_members",
+    names, signatures, under_analysis, desc, clamped = json.loads(res.stdout)
+    assert {"cli.verify_case", "js.matrix_from_members", "js.solve_column",
             "blocks.family_from_type_params", "js.valuation_table",
             "js.hook_data", "core.rim_hooks", "crystal.is_restricted",
             "crystal.mu_diamond", "blocks.weight", "blocks.classify_type",
@@ -577,3 +638,5 @@ def test_benchmark_bindings_are_traced():
     assert desc == [3, False]
     assert {"blocks.block_key", "abacus.display"} <= set(under_analysis)
     assert signatures > 0
+    # the clamped cells of the IV-e2-H5 matrix, read off the solve's flags
+    assert clamped == 6

@@ -9,7 +9,7 @@ from hypothesis import given
 from bipblocks import js
 from bipblocks.core import (
     InvariantError, Params, bip, dominates, EMPTY_BIP, canonical_sort,
-    rim_hooks,
+    dominance_key, rim_hooks,
 )
 from bipblocks.blocks import (
     block_key, content_counts, enumerate_block, family_from_type_params,
@@ -21,7 +21,7 @@ from bipblocks.js import (
     order_from_members, matrix_from_members,
     decomposition_matrix, _pair_valuation, _solve_column, _valuation_table,
 )
-from helpers import bips_of, small_bips, params_st
+from helpers import bips_of, matrix_by_bips, small_bips, params_st
 
 
 class TestHookPairs:
@@ -126,9 +126,11 @@ class TestValuationTableOracle:
                     if ref_key not in reference:
                         reference[ref_key] = _recorded(
                             lambda: _all_pairs_table(members, p))
+                    keys = [dominance_key(m) for m in members]
                     table, messages = _recorded(
-                        lambda: _valuation_table(members, p))
-                    nonzero = {k: v for k, v in table.items() if v}
+                        lambda: _valuation_table(members, keys, p))
+                    nonzero = {(members[i], members[j]): v
+                               for (i, j), v in table.items() if v}
                     assert (nonzero, messages) == reference[ref_key], \
                         (members, p)
                     warned |= messages
@@ -145,26 +147,28 @@ class TestInvariantErrors:
         with pytest.raises(InvariantError, match="hook-pair valuation"):
             _pair_valuation(hook, hook, self.P)
 
+    # row 0 is lam, placed above the column mu = row 1, and its one
+    # table step reaches mu
+    LAM_MU = (bip((1, 1), ()), bip((2,), ()))
+    KEYS = [dominance_key(b) for b in LAM_MU]
+
     def test_negative_bound(self):
-        mu, lam = bip((2,), ()), bip((1, 1), ())
-        by_row = {mu: {}, lam: {mu: -1}}
         with pytest.raises(InvariantError,
                            match=r"column solve of \(2\|-\): negative "
                                  r"bound -1 at \(1,1\|-\)"):
-            _solve_column((mu, lam), by_row, mu, self.P)
+            _solve_column(1, [[(1, -1)], []], self.LAM_MU, self.KEYS)
 
     def test_bound_off_dominance_cone(self):
-        mu, lam = bip((2,), ()), bip((1, 1), ())
-        assert not dominates(lam, mu)
-        by_row = {mu: {}, lam: {mu: 1}}
+        assert not dominates(*self.LAM_MU)
         with pytest.raises(InvariantError,
                            match=r"\(1,1\|-\), which does not dominate"):
-            _solve_column((mu, lam), by_row, mu, self.P)
+            _solve_column(1, [[(1, 1)], []], self.LAM_MU, self.KEYS)
 
     def test_order_step_against_canonical_order(self, monkeypatch):
         top, low = bip((2,), ()), bip((1, 1), ())
+        # a step from row 1 (low) up to row 0 (top)
         monkeypatch.setattr(js, "_valuation_table",
-                            lambda members, p: {(low, top): 1})
+                            lambda members, keys, p: {(1, 0): 1})
         with pytest.raises(InvariantError,
                            match=r"refined order: the step \(1,1\|-\) -> "
                                  r"\(2\|-\)"):
@@ -236,11 +240,46 @@ class TestMatrixBasics:
                 assert m.entry(lam, mu) == m.entries[r][c]
                 assert m.jbound(lam, mu) == m.jbounds[r][c]
                 assert m.flag(lam, mu) == m.flags[r][c]
-        # the index maps are derived, not part of the value
-        copy = DecompMatrix(m.block, m.rows, m.cols, m.entries, m.jbounds,
-                            m.flags)
+        # entries, flags and the index maps are derived, not part of the
+        # value
+        copy = DecompMatrix(m.block, m.rows, m.cols, m.jbounds)
         assert copy == m and hash(copy) == hash(m)
-        assert "_row_at" not in repr(m) and "_col_at" not in repr(m)
+        assert copy.entries == m.entries and copy.flags == m.flags
+        for name in ("entries", "flags", "_row_at", "_col_at"):
+            assert name not in repr(m)
+
+
+def _small_weight3_blocks():
+    """Every block of weight <= 3 with n <= 10, e in {2, 3, 4},
+    kappa = (0, k), and each characteristic 0, 2, 3 not dividing e, its
+    members in enumeration order."""
+    for e in (2, 3, 4):
+        for k, charp in product(range(e), (0, 2, 3)):
+            if charp and e % charp == 0:
+                continue
+            p = Params.make(e, (0, k), charp)
+            for n in range(11):
+                groups = defaultdict(list)
+                for b in bips_of(n):
+                    groups[content_counts(b, p)].append(b)
+                for members in groups.values():
+                    if weight(members[0], p) <= 3:
+                        yield members, p
+
+
+@pytest.mark.filterwarnings("ignore::bipblocks.js.CharacteristicWarning")
+def test_solver_matches_bipartition_keyed_oracle(monkeypatch):
+    # the table is shared and has its own oracle; rim_hooks is most of the
+    # cost, so both solvers read each member's hook data from one memo
+    monkeypatch.setattr(js, "_hook_data",
+                        lru_cache(maxsize=None)(js._hook_data))
+    count = 0
+    for members, p in _small_weight3_blocks():
+        m = matrix_from_members(members, p)
+        assert (m.rows, m.cols, m.entries, m.jbounds, m.flags) \
+            == matrix_by_bips(members, p), (members, p)
+        count += 1
+    assert count == 1080
 
 
 class TestTwoRectangleColumn:
