@@ -10,6 +10,8 @@ Input documents are JSON objects {"e", "kappa", "charp", "comp1",
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -46,8 +48,11 @@ def _key_doc(key: BlockKey) -> dict:
 
 
 def serialize(value) -> str:
-    """Canonical JSON text for the documented value types."""
-    if isinstance(value, Bipartition):
+    """Canonical JSON text for the documented value types; a plain dict or
+    list is the document itself."""
+    if isinstance(value, (dict, list)):
+        doc = value
+    elif isinstance(value, Bipartition):
         doc = _bip_doc(value)
     elif isinstance(value, BlockDescriptor):
         doc = {
@@ -91,6 +96,8 @@ def _load_doc(text: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ValueError(f"parse error at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError("parse error: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("parse error at line 1, column 1: "
                          "expected a JSON object")
@@ -135,6 +142,16 @@ def _field(doc: dict, name: str, where: str = ""):
     return doc[name]
 
 
+def _list_field(doc: dict, name: str) -> list:
+    value = _field(doc, name)
+    if not isinstance(value, list):
+        raise ValueError(f"field {name} must be a list")
+    return value
+
+
+_BLOCK_TYPES = ("I", "II", "III", "IV", "other")
+
+
 def _parse_bip_fields(doc: dict, where: str = "") -> Bipartition:
     return bip(_int_list_field(_field(doc, "comp1", where), where + "comp1"),
                _int_list_field(_field(doc, "comp2", where), where + "comp2"))
@@ -157,16 +174,15 @@ def parse(text: str):
     """Inverse of serialize; the value type is inferred from the keys."""
     doc = _load_doc(text)
     if "caseId" in doc:
-        checks = _field(doc, "checks")
-        if not isinstance(checks, list):
-            raise ValueError("field checks must be a list")
+        checks = _list_field(doc, "checks")
         return VerifyReport(_typed(_field(doc, "caseId"), "caseId", str),
                             tuple(map(_parse_check, checks)),
                             _typed(_field(doc, "overall"), "overall", bool))
     if "entries" in doc:
-        rows = tuple(_parse_bip_fields(d, "rows.") for d in doc["rows"])
-        cols = tuple(_parse_bip_fields(d, "cols.") for d in doc["cols"])
-        m = DecompMatrix(_parse_key_fields(doc["block"]), rows, cols,
+        rows, cols = (tuple(_parse_bip_fields(d, f"{name}.")
+                            for d in _list_field(doc, name))
+                      for name in ("rows", "cols"))
+        m = DecompMatrix(_parse_key_fields(_field(doc, "block")), rows, cols,
                          _bound_table(doc, len(rows), len(cols)))
         # entries and flags derive from jBounds: stored ones must match
         for name in ("entries", "flags"):
@@ -174,14 +190,18 @@ def parse(text: str):
                 raise ValueError(f"field {name} disagrees with jBounds")
         return m
     if "weight" in doc and "block" in doc:
-        nucleus, z_set, params = (_field(doc, name) for name in
-                                  ("nucleus", "zSet", "typeParams"))
+        nucleus, z_set, params, btype = (_field(doc, name) for name in
+                                         ("nucleus", "zSet", "typeParams",
+                                          "type"))
+        if btype not in _BLOCK_TYPES:
+            raise ValueError("field type must be one of "
+                             + ", ".join(_BLOCK_TYPES))
         return BlockDescriptor(
             key=_parse_key_fields(doc["block"]),
             weight=_typed(doc["weight"], "weight", int),
             delta=_int_list_field(_field(doc, "delta"), "delta"),
             is_core=_typed(_field(doc, "isCore"), "isCore", bool),
-            btype=_field(doc, "type"),
+            btype=btype,
             nucleus=None if nucleus is None
             else _parse_bip_fields(nucleus, "nucleus."),
             z_set=None if z_set is None
@@ -197,44 +217,46 @@ def parse(text: str):
 # ---------------------------------------------------------------------------
 # matrix cache
 
-def _cache_dir() -> str:
-    return os.environ.get(
-        CACHE_ENV, os.path.join(os.path.expanduser("~"), ".cache",
-                                "bipblocks"))
-
-
 def _cache_path(key: BlockKey, p: Params) -> str:
     ident = json.dumps({
         "version": SOLVER_VERSION, "e": p.e, "kappa": list(p.kappa),
         "charp": p.charp, "n": key.n, "content": list(key.content)})
     digest = hashlib.sha256(ident.encode()).hexdigest()
-    return os.path.join(_cache_dir(), digest + ".json")
+    root = os.environ.get(CACHE_ENV, os.path.join(os.path.expanduser("~"),
+                                                  ".cache", "bipblocks"))
+    return os.path.join(root, digest + ".json")
 
 
 def cached_matrix(key: BlockKey, p: Params,
                   use_cache: bool = True) -> DecompMatrix:
     """The block's matrix, read from the content-addressed cache when
     possible. The solver version is part of the key, so entries written
-    by older solvers are simply never hit. A file that does not parse as
-    a matrix, or holds another block's matrix, is a miss and is
-    overwritten."""
+    by older solvers are simply never hit. A file that cannot be read,
+    does not parse as a matrix, or holds another block's matrix, is a miss
+    and is overwritten; a failed write raises ValueError and leaves no
+    temporary file."""
     if not use_cache:
         return decomposition_matrix(key, p)
     path = _cache_path(key, p)
-    if os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                value = parse(fh.read())
-        except (ValueError, KeyError, TypeError):
-            value = None
-        if isinstance(value, DecompMatrix) and value.block == key:
-            return value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            value = parse(fh.read())
+    except (OSError, ValueError):
+        value = None
+    if isinstance(value, DecompMatrix) and value.block == key:
+        return value
     matrix = decomposition_matrix(key, p)
-    os.makedirs(_cache_dir(), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(serialize(matrix))
-    os.replace(tmp, path)  # last writer wins; content is identical anyway
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(serialize(matrix))
+        os.replace(tmp, path)  # last writer wins; content is identical anyway
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise ValueError(f"cannot write cache {path}: "
+                         f"{exc.strerror}") from None
     return matrix
 
 
@@ -605,13 +627,11 @@ def _read_doc(text: str) -> dict:
 
 
 def _parse_kappa(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise click.UsageError("--kappa takes two comma-separated integers")
     try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
+        a, b = map(int, text.split(","))
+    except ValueError:  # not an integer, or not two of them
         raise click.UsageError("--kappa takes two comma-separated integers")
+    return a, b
 
 
 def _parse_params(text: str) -> tuple[int, ...]:
@@ -657,20 +677,29 @@ def _resolve_block(bip_text, block_text, e, kappa, charp):
     raise click.UsageError("this command needs --bip or --block")
 
 
-def _common(fn):
-    fn = click.option("--e", "e", type=int, default=None,
-                      help="Quantum characteristic.")(fn)
-    fn = click.option("--kappa", default=None, callback=lambda c, p, v:
-                      _parse_kappa(v) if v is not None else None,
-                      help="Charges, e.g. 0,3.")(fn)
-    fn = click.option("--charp", type=int, default=None,
-                      help="Ground-field characteristic (default 0).")(fn)
-    fn = click.option("--bip", "bip_doc", default=None,
-                      help="Bipartition document (JSON, or @file).")(fn)
-    fn = click.option("--format", "fmt",
-                      type=click.Choice(["json", "table"]),
-                      default="json", help="Output format.")(fn)
-    return fn
+def _params(doc_option):
+    """--e, --kappa, --charp and --format, applied around a command's
+    document option so that --help lists that option second."""
+    def decorate(fn):
+        for option in (
+                click.option("--e", "e", type=int, default=None,
+                             help="Quantum characteristic."),
+                click.option("--kappa", default=None, callback=lambda c, p, v:
+                             _parse_kappa(v) if v is not None else None,
+                             help="Charges, e.g. 0,3."),
+                click.option("--charp", type=int, default=None,
+                             help="Ground-field characteristic (default 0)."),
+                doc_option,
+                click.option("--format", "fmt",
+                             type=click.Choice(["json", "table"]),
+                             default="json", help="Output format.")):
+            fn = option(fn)
+        return fn
+    return decorate
+
+
+_common = _params(click.option("--bip", "bip_doc", default=None,
+                               help="Bipartition document (JSON, or @file)."))
 
 
 def _block_common(fn):
@@ -680,14 +709,26 @@ def _block_common(fn):
     return _common(fn)
 
 
-def _run(body):
-    try:
-        body()
-    except click.UsageError:
-        raise
-    except (ValueError, KeyError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+def _command(group: click.Group, name: str):
+    """Register a command body under ``group``. A ValueError or KeyError
+    from the body prints ``error: ...`` and exits 1; a click.UsageError
+    passes through and exits 2."""
+    def decorate(fn):
+        @functools.wraps(fn)  # also carries the options declared on fn
+        def run(*args, **kwargs):
+            try:
+                fn(*args, **kwargs)
+            except (ValueError, KeyError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(1)
+        return group.command(name)(run)
+    return decorate
+
+
+def _emit(fmt: str, value, table) -> None:
+    """Print ``table()`` under --format table, else the JSON text of
+    ``value``."""
+    click.echo(table() if fmt == "table" else serialize(value), nl=False)
 
 
 @click.group()
@@ -701,51 +742,34 @@ def bip_group():
     """Commands about a single bipartition."""
 
 
-@bip_group.command("info")
+@_command(bip_group, "info")
 @_common
 def bip_info(e, kappa, charp, bip_doc, fmt):
     """Size, block, weight and crystal status of a bipartition."""
-    def body():
-        b, p = _resolve_bip(bip_doc, e, kappa, charp)
-        key, _ = block_key(b, p)
-        info = [("bipartition", str(b)), ("n", b.size),
-                ("content", list(key.content)), ("weight", weight(b, p)),
-                ("restricted", is_restricted(b, p)[0]),
-                ("regular", is_regular(b, p))]
-        if fmt == "table":
-            click.echo(_render_kv_table(info), nl=False)
-        else:
-            click.echo(json.dumps(dict(info), indent=2))
-    _run(body)
+    b, p = _resolve_bip(bip_doc, e, kappa, charp)
+    key, _ = block_key(b, p)
+    info = {"bipartition": str(b), "n": b.size,
+            "content": list(key.content), "weight": weight(b, p),
+            "restricted": is_restricted(b, p)[0],
+            "regular": is_regular(b, p)}
+    _emit(fmt, info, lambda: _render_kv_table(info.items()))
 
 
-@bip_group.command("restricted")
+@_command(bip_group, "restricted")
 @_common
 def bip_restricted(e, kappa, charp, bip_doc, fmt):
     """Good-node stripping test, with the residue trace."""
-    def body():
-        b, p = _resolve_bip(bip_doc, e, kappa, charp)
-        ok, trace = is_restricted(b, p)
-        doc = {"restricted": ok, "residues": list(trace.residues)}
-        if fmt == "table":
-            click.echo(_render_kv_table(doc.items()), nl=False)
-        else:
-            click.echo(json.dumps(doc, indent=2))
-    _run(body)
+    ok, trace = is_restricted(*_resolve_bip(bip_doc, e, kappa, charp))
+    doc = {"restricted": ok, "residues": list(trace.residues)}
+    _emit(fmt, doc, lambda: _render_kv_table(doc.items()))
 
 
-@bip_group.command("diamond")
+@_command(bip_group, "diamond")
 @_common
 def bip_diamond(e, kappa, charp, bip_doc, fmt):
     """Regular partner of a restricted bipartition."""
-    def body():
-        b, p = _resolve_bip(bip_doc, e, kappa, charp)
-        partner = mu_diamond(b, p)
-        if fmt == "table":
-            click.echo(str(partner))
-        else:
-            click.echo(serialize(partner), nl=False)
-    _run(body)
+    partner = mu_diamond(*_resolve_bip(bip_doc, e, kappa, charp))
+    _emit(fmt, partner, lambda: f"{partner}\n")
 
 
 @main.group("block")
@@ -753,61 +777,40 @@ def block_group():
     """Commands about a whole block."""
 
 
-@block_group.command("info")
+@_command(block_group, "info")
 @_block_common
 def block_info(e, kappa, charp, bip_doc, block_doc, fmt):
     """Type, nucleus and runner data of a block."""
-    def body():
-        key, p = _resolve_block(bip_doc, block_doc, e, kappa, charp)
-        desc = classify_type(key, p)
-        if fmt == "table":
-            pairs = [("n", desc.key.n), ("content", list(desc.key.content)),
-                     ("weight", desc.weight), ("type", desc.btype),
-                     ("core", desc.is_core),
-                     ("nucleus", "-" if desc.nucleus is None
-                      else str(desc.nucleus)),
-                     ("zSet", "-" if desc.z_set is None
-                      else sorted(desc.z_set)),
-                     ("typeParams", "-" if desc.type_params is None
-                      else list(desc.type_params))]
-            click.echo(_render_kv_table(pairs), nl=False)
-        else:
-            click.echo(serialize(desc), nl=False)
-    _run(body)
+    desc = classify_type(*_resolve_block(bip_doc, block_doc, e, kappa, charp))
+    _emit(fmt, desc, lambda: _render_kv_table([
+        ("n", desc.key.n), ("content", list(desc.key.content)),
+        ("weight", desc.weight), ("type", desc.btype),
+        ("core", desc.is_core),
+        ("nucleus", "-" if desc.nucleus is None else str(desc.nucleus)),
+        ("zSet", "-" if desc.z_set is None else sorted(desc.z_set)),
+        ("typeParams", "-" if desc.type_params is None
+         else list(desc.type_params))]))
 
 
-@block_group.command("enumerate")
+@_command(block_group, "enumerate")
 @_block_common
 def block_enumerate(e, kappa, charp, bip_doc, block_doc, fmt):
     """All members, most dominant first."""
-    def body():
-        key, p = _resolve_block(bip_doc, block_doc, e, kappa, charp)
-        members = enumerate_block(key, p)
-        if fmt == "table":
-            for m in members:
-                click.echo(str(m))
-        else:
-            click.echo(json.dumps([_bip_doc(m) for m in members], indent=2))
-    _run(body)
+    members = enumerate_block(*_resolve_block(bip_doc, block_doc, e, kappa,
+                                              charp))
+    _emit(fmt, [_bip_doc(m) for m in members],
+          lambda: "".join(f"{m}\n" for m in members))
 
 
-@block_group.command("exceptional")
+@_command(block_group, "exceptional")
 @_block_common
 def block_exceptional(e, kappa, charp, bip_doc, block_doc, fmt):
     """Exceptional members of a weight-3 block, with their labels."""
-    def body():
-        key, p = _resolve_block(bip_doc, block_doc, e, kappa, charp)
-        labels = exceptional_bips(key, p)
-        if fmt == "table":
-            for lab in labels:
-                click.echo(f"{lab}  {lab.bipartition}")
-        else:
-            click.echo(json.dumps(
-                [{"label": str(lab), "kind": lab.kind,
-                  "args": list(lab.args),
-                  "bipartition": _bip_doc(lab.bipartition)}
-                 for lab in labels], indent=2))
-    _run(body)
+    labels = exceptional_bips(*_resolve_block(bip_doc, block_doc, e, kappa,
+                                              charp))
+    _emit(fmt, [{"label": str(lab), "kind": lab.kind, "args": list(lab.args),
+                 "bipartition": _bip_doc(lab.bipartition)} for lab in labels],
+          lambda: "".join(f"{lab}  {lab.bipartition}\n" for lab in labels))
 
 
 @main.group("js")
@@ -815,67 +818,46 @@ def js_group():
     """Valuations and the refined dominance order."""
 
 
-@js_group.command("val")
-@click.option("--bip", "bip_docs", multiple=True,
-              help="Two bipartition documents, dominant first.")
-@click.option("--e", "e", type=int, default=None)
-@click.option("--kappa", default=None, callback=lambda c, p, v:
-              _parse_kappa(v) if v is not None else None)
-@click.option("--charp", type=int, default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "table"]),
-              default="json")
+@_command(js_group, "val")
+@_params(click.option("--bip", "bip_docs", multiple=True,
+                      help="Two bipartition documents, dominant first."))
 def js_val(bip_docs, e, kappa, charp, fmt):
     """Signed valuation sum between two members of one block."""
-    def body():
-        if len(bip_docs) != 2:
-            raise click.UsageError("supply --bip twice, dominant first")
-        doc_a, doc_b = (_read_doc(t) for t in bip_docs)
-        p = _resolve(doc_a, e, kappa, charp)
-        a, b = _parse_bip_fields(doc_a), _parse_bip_fields(doc_b)
-        value = js_valuation(a, b, p)
-        doc = {"valuation": value, "pairs": len(hook_pairs(a, b, p))}
-        if fmt == "table":
-            click.echo(_render_kv_table(doc.items()), nl=False)
-        else:
-            click.echo(json.dumps(doc, indent=2))
-    _run(body)
+    if len(bip_docs) != 2:
+        raise click.UsageError("supply --bip twice, dominant first")
+    doc_a, doc_b = (_read_doc(t) for t in bip_docs)
+    p = _resolve(doc_a, e, kappa, charp)
+    a, b = _parse_bip_fields(doc_a), _parse_bip_fields(doc_b)
+    doc = {"valuation": js_valuation(a, b, p),
+           "pairs": len(hook_pairs(a, b, p))}
+    _emit(fmt, doc, lambda: _render_kv_table(doc.items()))
 
 
-@js_group.command("order")
+@_command(js_group, "order")
 @_block_common
 def js_refined_order(e, kappa, charp, bip_doc, block_doc, fmt):
     """Strict relations of the refined order on a block."""
-    def body():
-        key, p = _resolve_block(bip_doc, block_doc, e, kappa, charp)
-        order = order_from_members(enumerate_block(key, p), p)
-        idx = {m: n for n, m in enumerate(order.members)}
-        rel = sorted((idx[a], idx[b]) for a, b in order.strict)
-        if fmt == "table":
-            for a, b in rel:
-                click.echo(f"{order.members[a]} > {order.members[b]}")
-        else:
-            click.echo(json.dumps(
-                {"members": [_bip_doc(m) for m in order.members],
-                 "relations": [list(r) for r in rel]}, indent=2))
-    _run(body)
+    key, p = _resolve_block(bip_doc, block_doc, e, kappa, charp)
+    order = order_from_members(enumerate_block(key, p), p)
+    idx = {m: n for n, m in enumerate(order.members)}
+    rel = sorted((idx[a], idx[b]) for a, b in order.strict)
+    _emit(fmt, {"members": [_bip_doc(m) for m in order.members],
+                "relations": [list(r) for r in rel]},
+          lambda: "".join(f"{order.members[a]} > {order.members[b]}\n"
+                          for a, b in rel))
 
 
-@main.command("decomp")
+@_command(main, "decomp")
 @_block_common
 @click.option("--no-cache", is_flag=True, help="Bypass the matrix cache.")
 def decomp(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
     """Decomposition matrix of a block of weight at most three."""
-    def body():
-        key, p = _resolve_block(bip_doc, block_doc, e, kappa, charp)
-        matrix = cached_matrix(key, p, use_cache=not no_cache)
-        if fmt == "table":
-            click.echo(_render_matrix_table(matrix), nl=False)
-        else:
-            click.echo(serialize(matrix), nl=False)
-    _run(body)
+    key, p = _resolve_block(bip_doc, block_doc, e, kappa, charp)
+    matrix = cached_matrix(key, p, use_cache=not no_cache)
+    _emit(fmt, matrix, lambda: _render_matrix_table(matrix))
 
 
-@main.command("verify")
+@_command(main, "verify")
 @click.option("--case", "case_id", default=None,
               help="Case identifier, e.g. III-8.")
 @click.option("--e", "e", type=int, default=None)
@@ -888,29 +870,22 @@ def decomp(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
               default="table")
 def verify(case_id, e, params, run_all, list_cases, fmt):
     """Recompute catalogued families and diff against the fixtures."""
-    def body():
-        if list_cases:
-            for cid in sorted(CASES):
-                click.echo(cid)
-            return
-        if run_all:
-            reports = verify_all()
-        elif case_id is not None:
-            if case_id not in CASES:
-                raise click.UsageError(f"unknown case {case_id}")
-            window = None if params is None else _parse_params(params)
-            reports = [verify_case(CASES[case_id], e, window)]
-        else:
-            raise click.UsageError("supply --case, --all or --list")
-        if fmt == "table":
-            for rep in reports:
-                click.echo(_render_report_table(rep), nl=False)
-        else:
-            for rep in reports:
-                click.echo(serialize(rep), nl=False)
-        if not all(rep.overall for rep in reports):
-            sys.exit(1)
-    _run(body)
+    if list_cases:
+        click.echo("\n".join(sorted(CASES)))
+        return
+    if run_all:
+        reports = verify_all()
+    elif case_id is not None:
+        if case_id not in CASES:
+            raise click.UsageError(f"unknown case {case_id}")
+        window = None if params is None else _parse_params(params)
+        reports = [verify_case(CASES[case_id], e, window)]
+    else:
+        raise click.UsageError("supply --case, --all or --list")
+    for rep in reports:
+        _emit(fmt, rep, functools.partial(_render_report_table, rep))
+    if not all(rep.overall for rep in reports):
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import textwrap
 import time
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
@@ -27,8 +28,12 @@ def run(*args, env=None):
     return CliRunner().invoke(main, list(args), env=env or {})
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 DOC = '{"e":4,"kappa":[0,3],"charp":0,"comp1":[4],"comp2":[4,1,1]}'
 H5DOC = '{"e":2,"kappa":[1,1],"charp":0,"comp1":[],"comp2":[2,1,1,1]}'
+# the README's js val pair, dominant first
+JS_A = '{"e":6,"kappa":[5,4],"charp":0,"comp1":[2,1,1,1,1],"comp2":[4]}'
+JS_B = '{"comp1":[2],"comp2":[4,2,1,1]}'
 
 ints = st.integers(-50, 50)
 int_tuples = st.lists(ints, max_size=6).map(tuple)
@@ -54,11 +59,22 @@ def matrices(draw):
     return DecompMatrix(draw(block_keys), tuple(rows), tuple(cols), jbounds)
 
 
-json_values = st.recursive(
-    st.none() | st.booleans() | ints | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=6)
+def json_trees(keys, max_leaves):
+    return st.recursive(
+        st.none() | st.booleans() | ints | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(keys, inner, max_size=3),
+        max_leaves=max_leaves)
+
+
+json_values = json_trees(st.text(max_size=3), 6)
+# the keys of every document shape, nested: parse may refuse a document
+# only with ValueError
+DOC_KEYS = ("caseId", "checks", "name", "expected", "actual", "pass",
+            "overall", "entries", "rows", "cols", "block", "jBounds",
+            "flags", "weight", "delta", "isCore", "type", "nucleus", "zSet",
+            "typeParams", "swapped", "comp1", "comp2", "n", "content")
+documents = json_trees(st.sampled_from(DOC_KEYS), 12)
 reports = st.builds(
     VerifyReport, st.text(max_size=8),
     st.lists(st.builds(Check, st.text(max_size=8), json_values,
@@ -99,6 +115,10 @@ class TestSerialization:
     def test_malformed_position(self):
         with pytest.raises(ValueError, match=r"line \d+, column \d+"):
             parse('{"comp1": [4,}')
+
+    def test_deep_nesting(self):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse('{"comp1":' + "[" * 100_000 + "]" * 100_000 + "}")
 
     def test_missing_field(self):
         with pytest.raises(ValueError, match="comp2"):
@@ -162,10 +182,13 @@ class TestSerialization:
         ("zSet", None, "missing field zSet"),
         ("swapped", None, "missing field swapped"),
         ("n", None, "missing field block.n"),
+        ("type", 5, "field type must be one of I, II, III, IV, other"),
+        ("type", None, "field type must be one of I, II, III, IV, other"),
+        ("type", "V", "field type must be one of I, II, III, IV, other"),
     ], ids=["weight-float", "weight-bool", "delta-float", "delta-string",
             "isCore-string", "isCore-int", "swapped-null", "zSet-string",
             "typeParams-float", "no-delta", "no-isCore", "no-zSet",
-            "no-swapped", "no-n"])
+            "no-swapped", "no-n", "type-int", "type-null", "type-unknown"])
     def test_checked_descriptor_fields(self, field, value, message):
         doc = json.loads(DESC)
         target = doc["block"] if field == "n" else doc
@@ -175,6 +198,13 @@ class TestSerialization:
             target[field] = value
         with pytest.raises(ValueError, match=message):
             parse(json.dumps(doc))
+
+    @given(st.dictionaries(st.sampled_from(DOC_KEYS), documents, max_size=6))
+    def test_any_document_parses_or_is_refused(self, doc):
+        try:
+            parse(json.dumps(doc))
+        except ValueError:
+            pass
 
 
 class TestVerifier:
@@ -267,10 +297,7 @@ class TestCommands:
                               for x in labels)
 
     def test_js_val(self):
-        a = ('{"e":6,"kappa":[5,4],"charp":0,'
-             '"comp1":[2,1,1,1,1],"comp2":[4]}')
-        b = '{"comp1":[2],"comp2":[4,2,1,1]}'
-        res = run("js", "val", "--bip", a, "--bip", b)
+        res = run("js", "val", "--bip", JS_A, "--bip", JS_B)
         assert res.exit_code == 0
         assert json.loads(res.output) == {"valuation": -1, "pairs": 1}
 
@@ -538,15 +565,58 @@ class TestCache:
             parse(json.dumps(doc))
         self._decomp_over(tmp_path, json.dumps(doc))
 
+    # a regular file above the cache directory, and a directory at the
+    # entry's path: reading is a miss and writing an error
+    @pytest.mark.parametrize("layout, reason", [
+        ("file-above", "Not a directory"), ("dir-at-entry", "Is a directory")])
+    def test_unusable_cache_is_an_error(self, tmp_path, layout, reason):
+        entry = os.path.basename(_cache_path(self.H5KEY, self.H5))
+        cache = tmp_path
+        if layout == "file-above":
+            (tmp_path / "file").write_text("", encoding="utf-8")
+            cache = tmp_path / "file" / "cache"
+        else:
+            (cache / entry).mkdir()
+        res = run("decomp", "--bip", H5DOC, env={CACHE_ENV: str(cache)})
+        assert res.exit_code == 1
+        assert res.output == (f"error: cannot write cache {cache / entry}: "
+                              f"{reason}\n")
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
+# the input of each command's golden outputs
+GOLDEN_ARGS = {
+    "bip info": ["--bip", H5DOC], "bip restricted": ["--bip", H5DOC],
+    "bip diamond": ["--bip", H5DOC], "block info": ["--bip", H5DOC],
+    "block enumerate": ["--bip", H5DOC],
+    "block exceptional": ["--bip", H5DOC], "js order": ["--bip", H5DOC],
+    "decomp": ["--bip", H5DOC], "js val": ["--bip", JS_A, "--bip", JS_B],
+    "verify": ["--case", "IV-e2-H5"],
+}
+
 
 class TestGoldenTables:
-    """``--format table`` output on H5DOC, byte for byte; the decomp
-    table is also the README example."""
+    """``--format table`` output of every command, byte for byte; the
+    decomp table is also the README example."""
 
     GOLDEN = {
         "bip info": (
             "bipartition: (-|2,1,1,1)\nn: 5\ncontent: [3, 2]\nweight: 3\n"
             "restricted: True\nregular: False\n"),
+        "bip restricted": "restricted: True\nresidues: [0, 0, 1, 0, 1]\n",
+        "js val": "valuation: -1\npairs: 1\n",
+        "verify": (
+            "IV-e2-H5: PASS\n"
+            "  [ok] mu restricted: expected True, got True\n"
+            "  [ok] mu partner: expected {'comp1': [4, 1], 'comp2': []}, "
+            "got {'comp1': [4, 1], 'comp2': []}\n"
+            "  [ok] member count: expected 8, got 8\n"
+            "  [ok] largest entry: expected 1, got 1\n"
+            "  [ok] restricted columns: expected 2, got 2\n"
+            "  [ok] dn(hook(0, -1, 1)): expected 1, got 1\n"
+            "  [ok] dn(hook(0, 0, 1)): expected 1, got 1\n"
+            "  [ok] dn(hook(-1, -1, 2)): expected 1, got 1\n"
+            "  [ok] dn(hook(-1, 0, 2)): expected 1, got 1\n"),
         "bip diamond": "(4,1|-)\n",
         "block info": (
             "n: 5\ncontent: [3, 2]\nweight: 3\ntype: IV\ncore: False\n"
@@ -587,14 +657,128 @@ class TestGoldenTables:
 
     @pytest.mark.parametrize("command", sorted(GOLDEN))
     def test_table(self, command, tmp_path):
-        res = run(*command.split(), "--bip", H5DOC, "--format", "table",
-                  env={CACHE_ENV: str(tmp_path)})
+        res = run(*command.split(), *GOLDEN_ARGS[command], "--format",
+                  "table", env={CACHE_ENV: str(tmp_path)})
         assert res.exit_code == 0
         assert res.output == self.GOLDEN[command]
 
     def test_decomp_matches_readme(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        assert self.GOLDEN["decomp"] in readme
+        assert self.GOLDEN["decomp"] in README.read_text()
+
+
+# the members of H5DOC's block, most dominant first
+H5_MEMBERS = [{"comp1": list(a), "comp2": list(b)} for a, b in [
+    ((4, 1), ()), ((2, 1, 1, 1), ()), ((2, 1), (2,)), ((2, 1), (1, 1)),
+    ((2,), (2, 1)), ((1, 1), (2, 1)), ((), (4, 1)), ((), (2, 1, 1, 1))]]
+
+
+class TestGoldenJson:
+    """The JSON output of every command, byte for byte: the documents
+    below printed with an indent of 2 and a final newline. It is the
+    default of every command but verify."""
+
+    GOLDEN = {
+        "bip info": {"bipartition": "(-|2,1,1,1)", "n": 5,
+                     "content": [3, 2], "weight": 3, "restricted": True,
+                     "regular": False},
+        "bip restricted": {"restricted": True, "residues": [0, 0, 1, 0, 1]},
+        "bip diamond": H5_MEMBERS[0],
+        "block info": {
+            "block": {"n": 5, "content": [3, 2]}, "weight": 3,
+            "delta": [2, -4], "isCore": False, "type": "IV",
+            "nucleus": {"comp1": [1], "comp2": [1]}, "zSet": [0, 1],
+            "typeParams": [0, 0, 0, 0, 0], "swapped": False},
+        "block enumerate": H5_MEMBERS,
+        "block exceptional": [
+            {"label": "hook(0, 0, 1)", "kind": "hook", "args": [0, 0, 1],
+             "bipartition": H5_MEMBERS[4]},
+            {"label": "hook(0, 1, 1)", "kind": "hook", "args": [0, 1, 1],
+             "bipartition": H5_MEMBERS[5]},
+            {"label": "hook(1, 0, 2)", "kind": "hook", "args": [1, 0, 2],
+             "bipartition": H5_MEMBERS[2]},
+            {"label": "hook(1, 1, 2)", "kind": "hook", "args": [1, 1, 2],
+             "bipartition": H5_MEMBERS[3]}],
+        "js val": {"valuation": -1, "pairs": 1},
+        "js order": {"members": H5_MEMBERS, "relations": [
+            [0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [0, 6], [0, 7], [1, 3],
+            [1, 4], [1, 5], [1, 6], [1, 7], [2, 3], [2, 4], [2, 5], [2, 6],
+            [2, 7], [3, 4], [3, 5], [3, 6], [3, 7], [4, 5], [4, 6], [4, 7],
+            [5, 7], [6, 7]]},
+        "decomp": {
+            "block": {"n": 5, "content": [3, 2]}, "rows": H5_MEMBERS,
+            "cols": [H5_MEMBERS[5], H5_MEMBERS[7]],
+            "entries": [[0, 1], [0, 1], [1, 1], [1, 1], [1, 1], [1, 1],
+                        [0, 1], [0, 1]],
+            "jBounds": [[0, 3], [0, 2], [3, 2], [2, 1], [1, 2], [1, 1],
+                        [0, 1], [0, 1]],
+            "flags": [["direct", "clamped"], ["direct", "clamped"],
+                      ["clamped", "clamped"], ["clamped", "direct"],
+                      ["direct", "clamped"], ["direct", "direct"],
+                      ["direct", "direct"], ["direct", "direct"]]},
+        "verify": {"caseId": "IV-e2-H5", "checks": [
+            {"name": name, "expected": value, "actual": value, "pass": True}
+            for name, value in [
+                ("mu restricted", True), ("mu partner", H5_MEMBERS[0]),
+                ("member count", 8), ("largest entry", 1),
+                ("restricted columns", 2), ("dn(hook(0, -1, 1))", 1),
+                ("dn(hook(0, 0, 1))", 1), ("dn(hook(-1, -1, 2))", 1),
+                ("dn(hook(-1, 0, 2))", 1)]], "overall": True},
+    }
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_json(self, command, tmp_path):
+        args = [*command.split(), *GOLDEN_ARGS[command]]
+        if command == "verify":
+            args += ["--format", "json"]
+        res = run(*args, env={CACHE_ENV: str(tmp_path)})
+        assert res.exit_code == 0
+        assert res.output == json.dumps(self.GOLDEN[command], indent=2) + "\n"
+
+    def test_js_val_matches_readme(self):
+        text = json.dumps(self.GOLDEN["js val"], indent=2) + "\n"
+        assert text in README.read_text()
+
+
+# option, parameter name, and the value a command gets when the option is
+# not given; "flag" and "multiple" mark those kinds of option
+PARAMS = {"--e": ("e", None), "--kappa": ("kappa", None),
+          "--charp": ("charp", None), "--format": ("fmt", "json")}
+BIP_OPTIONS = {**PARAMS, "--bip": ("bip_doc", None)}
+BLOCK_OPTIONS = {**BIP_OPTIONS, "--block": ("block_doc", None)}
+OPTIONS = {
+    "bip info": BIP_OPTIONS, "bip restricted": BIP_OPTIONS,
+    "bip diamond": BIP_OPTIONS, "block info": BLOCK_OPTIONS,
+    "block enumerate": BLOCK_OPTIONS, "block exceptional": BLOCK_OPTIONS,
+    "js order": BLOCK_OPTIONS,
+    "js val": {**PARAMS, "--bip": ("bip_docs", (), "multiple")},
+    "decomp": {**BLOCK_OPTIONS, "--no-cache": ("no_cache", False, "flag")},
+    "verify": {"--case": ("case_id", None), "--e": ("e", None),
+               "--params": ("params", None),
+               "--all": ("run_all", False, "flag"),
+               "--list": ("list_cases", False, "flag"),
+               "--format": ("fmt", "table")},
+}
+
+
+def test_option_surface():
+    """Every command's options, with their defaults and kinds."""
+    def commands(group, prefix=""):
+        for name, cmd in group.commands.items():
+            if isinstance(cmd, click.Group):
+                yield from commands(cmd, f"{prefix}{name} ")
+            else:
+                yield prefix + name, cmd
+
+    seen = {}
+    for name, cmd in commands(main):
+        given = cmd.make_context(name, []).params
+        seen[name] = {
+            "/".join(p.opts + p.secondary_opts): (p.name, given[p.name])
+            + (("flag",) if p.is_flag else ("multiple",) if p.multiple
+               else ())
+            for p in cmd.params}
+    assert seen == OPTIONS
+    assert sum(map(len, seen.values())) == 57
 
 
 def test_benchmark_bindings_are_traced():
