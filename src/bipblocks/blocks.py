@@ -352,9 +352,15 @@ def _members(key: BlockKey, p: Params):
     k1, k2 = p.kappa
     for m in range(key.n + 1):
         for c1 in _rows(m, m, 1, k1, counts, p.e):
-            # component 2 takes exactly what component 1 left
+            # component 2 takes exactly what component 1 left; a content
+            # of negative level-1 weight c_k2 - (1/2) sum_i (c_i -
+            # c_{i-1})^2 (Fayers' closed form) has no partition
+            if 2 * counts[k2] < sum((counts[i] - counts[i - 1]) ** 2
+                                    for i in range(p.e)):
+                continue
+            first = Partition._of(c1)
             for c2 in _rows(key.n - m, key.n - m, 1, k2, counts, p.e):
-                yield Bipartition(Partition(c1), Partition(c2))
+                yield Bipartition(first, Partition._of(c2))
 
 
 def _member_of(key: BlockKey, p: Params) -> Bipartition:

@@ -28,8 +28,8 @@ from .blocks import (
 )
 from .crystal import is_restricted, is_regular, mu_diamond
 from .js import (
-    DecompMatrix, decomposition_matrix, hook_pairs, js_valuation,
-    matrix_from_members, order_from_members,
+    DecompMatrix, decomposition_matrix, dominating_pairs, matrix_from_members,
+    order_from_members, signed_sum,
 )
 
 SOLVER_VERSION = 1
@@ -222,8 +222,9 @@ def _cache_path(key: BlockKey, p: Params) -> str:
         "version": SOLVER_VERSION, "e": p.e, "kappa": list(p.kappa),
         "charp": p.charp, "n": key.n, "content": list(key.content)})
     digest = hashlib.sha256(ident.encode()).hexdigest()
-    root = os.environ.get(CACHE_ENV, os.path.join(os.path.expanduser("~"),
-                                                  ".cache", "bipblocks"))
+    # an empty value is unset, like an absent one
+    root = os.environ.get(CACHE_ENV) or os.path.join(
+        os.path.expanduser("~"), ".cache", "bipblocks")
     return os.path.join(root, digest + ".json")
 
 
@@ -828,8 +829,13 @@ def js_val(bip_docs, e, kappa, charp, fmt):
     doc_a, doc_b = (_read_doc(t) for t in bip_docs)
     p = _resolve(doc_a, e, kappa, charp)
     a, b = _parse_bip_fields(doc_a), _parse_bip_fields(doc_b)
-    doc = {"valuation": js_valuation(a, b, p),
-           "pairs": len(hook_pairs(a, b, p))}
+    key_a, key_b = (block_key(x, p)[0] for x in (a, b))
+    if key_a != key_b:
+        raise ValueError(f"{a} and {b} lie in different blocks: "
+                         f"{json.dumps(_key_doc(key_a))} and "
+                         f"{json.dumps(_key_doc(key_b))}")
+    pairs = dominating_pairs(a, b, p)
+    doc = {"valuation": signed_sum(pairs), "pairs": len(pairs)}
     _emit(fmt, doc, lambda: _render_kv_table(doc.items()))
 
 

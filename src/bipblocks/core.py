@@ -68,6 +68,13 @@ class Partition(tuple):
             raise ValueError("zero parts only allowed at the end")
         return super().__new__(cls, parts)
 
+    @classmethod
+    def _of(cls, parts) -> "Partition":
+        """A partition from parts the package has just built valid: weakly
+        decreasing and positive. Nothing is checked; outside input goes
+        through ``Partition(...)``."""
+        return tuple.__new__(cls, parts)
+
     @property
     def size(self) -> int:
         return sum(self)
@@ -245,25 +252,36 @@ def _beta_set(part: Partition, k: int) -> frozenset[int]:
 
 
 def _partition_from_beta(beta, k: int) -> Partition:
-    vals = sorted(beta, reverse=True)
-    return Partition(v - k + r for r, v in enumerate(vals, start=1))
+    parts = [v - k + r for r, v in enumerate(sorted(beta, reverse=True),
+                                             start=1)]
+    while parts and not parts[-1]:
+        parts.pop()
+    return Partition._of(parts)
 
 
 def rim_hooks(b: Bipartition) -> list[RimHook]:
     """All removable rim hooks of b, by component, hand row and length.
-    With k beads, the bead x of row r sits at part_r + k - r."""
+    With k beads, the bead x of row r sits at part_r + k - r. Moving it
+    down to the free position y past ``leg`` beads moves rows r+1..r+leg
+    up one row, each a cell shorter, and leaves row r+leg the part
+    y - k + r + leg."""
     out = []
     for a in (1, 2):
         part = b.comp(a)
         k = len(part)
-        beta = _beta_set(part, k)
-        for r, x in enumerate(sorted(beta, reverse=True), start=1):
+        beads = [q + k - r for r, q in enumerate(part, start=1)]
+        for r, x in enumerate(beads, start=1):
             hand, leg = Node(r, x - k + r, a), 0
             for y in range(x - 1, -1, -1):
-                if y in beta:
+                s = r + leg
+                if s < k and beads[s] == y:
                     leg += 1
                     continue
-                smaller = _partition_from_beta((beta - {x}) | {y}, k)
+                parts = [*part[:r - 1], *(q - 1 for q in part[r:s]),
+                         y - k + s, *part[s:]]
+                while parts and not parts[-1]:
+                    parts.pop()
+                smaller = Partition._of(parts)
                 rest = (Bipartition(smaller, b.comp2) if a == 1
                         else Bipartition(b.comp1, smaller))
                 out.append(RimHook(hand, leg, a, x - y, rest))

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    Bipartition, InvariantError, Node, Params, add_node, bip, conjugate,
-    corners, dominates,
+    Bipartition, InvariantError, Node, Params, Partition, add_node,
+    conjugate, corners, dominates,
 )
 from .blocks import block_key, enumerate_block, weight
 
@@ -94,26 +94,52 @@ def signature(b: Bipartition, i: int, p: Params) -> SignatureReport:
 
 
 def _next_good(comps, p: Params):
-    """(residue, (row, col, component), raw signature) of the first normal
-    node of the reduced signature, for the smallest residue that has one."""
-    for i, raw in enumerate(_raw_signatures(comps, p)):
-        for entry in _cancel(raw, "-", "+"):
-            if entry[3] == "-":
-                return i, entry[:3], raw
+    """(residue, (row, col, component), delta) of the good node of the
+    smallest residue that has one, from one walk over the rows in reading
+    order; delta counts that residue's removable minus addable nodes. Per
+    residue a stack keeps the uncancelled removable nodes: an addable node
+    cancels the latest one, which is the repeated "-+" cancellation, and
+    the good node is the first one left. The walk reads the cells as
+    ``core.corners`` does, without building a tuple per cell."""
+    e = p.e
+    minus = [[] for _ in range(e)]
+    delta = [0] * e
+    for a, (parts, k) in enumerate(zip(comps, p.kappa), start=1):
+        above = None  # the part of row r - 1
+        for r, x in enumerate((*parts, 0), start=1):
+            if above is None or above > x:
+                if above:
+                    i = (k + above + 1 - r) % e
+                    minus[i].append((r - 1, above, a))
+                    delta[i] += 1
+                i = (k + x + 1 - r) % e
+                if minus[i]:
+                    minus[i].pop()
+                delta[i] -= 1
+            above = x
+    for i, left in enumerate(minus):
+        if left:
+            return i, left[0], delta[i]
     return None
 
 
 def _good_strip(comps, p: Params):
     """Remove good nodes from the part lists ``comps`` in place, one per
-    step, until none is left. Each step yields its residue and the raw
-    signature it read. Only the last row can empty."""
+    step, until none is left. Each step yields its residue and that
+    residue's removable minus addable nodes before the step. Only the
+    last row can empty."""
     while (found := _next_good(comps, p)) is not None:
-        i, (r, _, a), raw = found
+        i, (r, _, a), delta = found
         parts = comps[a - 1]
         parts[r - 1] -= 1
         if not parts[r - 1]:
             parts.pop()
-        yield i, raw
+        yield i, delta
+
+
+def _terminal(comps) -> Bipartition:
+    """The bipartition of two part lists a strip has lowered."""
+    return Bipartition(Partition._of(comps[0]), Partition._of(comps[1]))
 
 
 def is_restricted(b: Bipartition, p: Params) -> tuple[bool, StripTrace]:
@@ -121,7 +147,7 @@ def is_restricted(b: Bipartition, p: Params) -> tuple[bool, StripTrace]:
     bipartition is reached."""
     comps = [list(b.comp1), list(b.comp2)]
     residues = tuple(i for i, _ in _good_strip(comps, p))
-    return not any(comps), StripTrace(residues, bip(*comps))
+    return not any(comps), StripTrace(residues, _terminal(comps))
 
 
 def is_regular(b: Bipartition, p: Params) -> bool:
@@ -156,12 +182,12 @@ def mu_diamond(mu: Bipartition, p: Params) -> Bipartition:
     strip = _good_strip(comps, p)
     residues, wt = [], weight(mu, p)
     while wt > 1:  # removing an i-node adds delta_i - 1 to the weight
-        i, raw = next(strip, (None, None))
-        if raw is None:
+        i, delta = next(strip, (None, None))
+        if delta is None:
             raise ValueError("not restricted: no normal nodes left")
-        wt += sum(1 if s == "-" else -1 for *_, s in raw) - 1
+        wt += delta - 1
         residues.append(i)
-    cur = bip(*comps)
+    cur = _terminal(comps)
     if wt == 1:
         cur = _weight_one_diamond(cur, p)
     for i in reversed(residues):

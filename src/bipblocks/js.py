@@ -94,12 +94,22 @@ def hook_pairs(lam: Bipartition, nu: Bipartition, p: Params) -> list[HookPair]:
     return _pairs_from_data(_hook_data(lam), _hook_data(nu), p)
 
 
-def js_valuation(lam: Bipartition, nu: Bipartition, p: Params) -> int:
-    """Signed valuation sum over the hook pairs of a dominating pair."""
+def dominating_pairs(lam: Bipartition, nu: Bipartition,
+                     p: Params) -> list[HookPair]:
+    """The hook pairs of a strictly dominating pair."""
     if lam == nu or not dominates(lam, nu):
         raise ValueError("first argument must strictly dominate the second")
-    return sum(pair.epsilon * pair.valuation
-               for pair in hook_pairs(lam, nu, p))
+    return hook_pairs(lam, nu, p)
+
+
+def signed_sum(pairs) -> int:
+    """The sum of epsilon times valuation over hook pairs."""
+    return sum(pair.epsilon * pair.valuation for pair in pairs)
+
+
+def js_valuation(lam: Bipartition, nu: Bipartition, p: Params) -> int:
+    """Signed valuation sum over the hook pairs of a dominating pair."""
+    return signed_sum(dominating_pairs(lam, nu, p))
 
 
 def _ranked(members) -> tuple[tuple[Bipartition, ...], list[tuple]]:
@@ -223,10 +233,9 @@ def _require_certified(wt: int) -> None:
                          "certified up to weight 3")
 
 
-def matrix_from_members(members, p: Params) -> DecompMatrix:
-    """Solve the bound recursion over an explicitly given block."""
-    rows, keys = _ranked(members)
-    _require_certified(weight(rows[0], p))
+def _solve(rows, keys, key: BlockKey, p: Params) -> DecompMatrix:
+    """The matrix of the block ``key``, from its members in canonical
+    order and their dominance keys."""
     at = [r for r, m in enumerate(rows) if is_restricted(m, p)[0]]
     # group the table by dominating row so each column scan is linear
     by_row = [[] for _ in rows]
@@ -235,12 +244,19 @@ def matrix_from_members(members, p: Params) -> DecompMatrix:
     bounds = [_solve_column(r, by_row, rows, keys)[1] for r in at]
     jbounds = tuple(tuple(col.get(i, 0) for col in bounds)
                     for i in range(len(rows)))
-    key = BlockKey(rows[0].size, content_counts(rows[0], p))
     return DecompMatrix(key, rows, tuple(rows[r] for r in at), jbounds)
 
 
+def matrix_from_members(members, p: Params) -> DecompMatrix:
+    """Solve the bound recursion over an explicitly given block."""
+    rows, keys = _ranked(members)
+    _require_certified(weight(rows[0], p))
+    key = BlockKey(rows[0].size, content_counts(rows[0], p))
+    return _solve(rows, keys, key, p)
+
+
 def decomposition_matrix(key: BlockKey, p: Params) -> DecompMatrix:
-    """The block's matrix. A block of weight above 3 is refused before its
-    members are enumerated."""
+    """The block's matrix. A block of weight above 3 is refused from its
+    key, before its members are enumerated; the solve weighs no member."""
     _require_certified(block_weight(key, p))
-    return matrix_from_members(enumerate_block(key, p), p)
+    return _solve(*_ranked(enumerate_block(key, p)), key, p)

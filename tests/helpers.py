@@ -5,9 +5,10 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from bipblocks.core import (
-    Bipartition, InvariantError, Node, Params, bipartitions, canonical_sort,
-    dominance_key, dominates,
+    Bipartition, InvariantError, Node, Params, Partition, RimHook,
+    _beta_set, bipartitions, canonical_sort, dominance_key, dominates,
 )
+from bipblocks.blocks import BlockKey, _rows
 from bipblocks.crystal import is_restricted
 from bipblocks.js import _valuation_table
 
@@ -118,3 +119,48 @@ def matrix_by_bips(members, p: Params):
     tables = (tuple(tuple(solved[c][t][lam] for c in range(len(cols)))
                     for lam in rows) for t in range(3))
     return (rows, cols, *tables)
+
+
+# Partitions the package builds with the unchecked ``Partition._of``.
+
+def is_checked(b: Bipartition) -> bool:
+    """Both components are partitions equal to their checked rebuild:
+    weakly decreasing, positive, no trailing zeros."""
+    return all(isinstance(q, Partition) and q == Partition(tuple(q))
+               for q in b)
+
+
+# The beta-set rebuild of each rim hook's rest that core.rim_hooks
+# replaced by arithmetic on the parts, kept as its oracle.
+
+def rim_hooks_by_beta(b: Bipartition) -> list[RimHook]:
+    out = []
+    for a in (1, 2):
+        part = b.comp(a)
+        k = len(part)
+        beta = _beta_set(part, k)
+        for r, x in enumerate(sorted(beta, reverse=True), start=1):
+            hand, leg = Node(r, x - k + r, a), 0
+            for y in range(x - 1, -1, -1):
+                if y in beta:
+                    leg += 1
+                    continue
+                vals = sorted((beta - {x}) | {y}, reverse=True)
+                smaller = Partition(v - k + s for s, v in enumerate(vals, 1))
+                rest = (Bipartition(smaller, b.comp2) if a == 1
+                        else Bipartition(b.comp1, smaller))
+                out.append(RimHook(hand, leg, a, x - y, rest))
+    return out
+
+
+# The member search that blocks._members prunes with a content test,
+# kept as its oracle: every component-1 candidate gets a component-2
+# search.
+
+def members_unpruned(key: BlockKey, p: Params):
+    counts = list(key.content)
+    k1, k2 = p.kappa
+    for m in range(key.n + 1):
+        for c1 in _rows(m, m, 1, k1, counts, p.e):
+            for c2 in _rows(key.n - m, key.n - m, 1, k2, counts, p.e):
+                yield Bipartition(Partition(c1), Partition(c2))

@@ -16,7 +16,9 @@ from bipblocks.blocks import (
     family_from_type_params, constructive_members, swap_components,
     _build_family, _member_of, _members,
 )
-from helpers import small_bips, params_st, bips_of
+from helpers import (
+    small_bips, params_st, bips_of, is_checked, members_unpruned,
+)
 
 P43 = Params.make(4, (0, 3))
 B32 = bip((4,), (4, 1, 1))  # weight-3 block member used across examples
@@ -182,6 +184,42 @@ class TestEnumerate:
         desc = classify_type(key, p)
         if desc.weight == 1 or (desc.weight == 3 and not desc.is_core):
             assert constructive_members(key, p) == enumerate_block(key, p)
+
+
+class TestPrunedMembersOracle:
+    """The content test of ``_members`` against the unpruned search."""
+
+    @pytest.mark.parametrize("e", [2, 3, 4, 5])
+    def test_every_block_key(self, e):
+        # shifting both charges relabels the residues, so kappa = (0, k)
+        # reaches every block up to that relabelling
+        for k in range(e):
+            p = Params.make(e, (0, k))
+            for n in range(11):
+                contents = (content_counts(b, p) for b in bips_of(n))
+                for content in dict.fromkeys(contents):
+                    key = BlockKey(n, content)
+                    got = list(_members(key, p))
+                    assert got == list(members_unpruned(key, p)), (key, p)
+                    assert all(map(is_checked, got)), (key, p)
+
+    @pytest.mark.parametrize("e", [2, 3, 4, 5])
+    def test_unpruned_matches_filter(self, e):
+        # every content of n <= 6 cells under every kappa, empty blocks
+        # included: both searches give the filtered bipartitions in order
+        for kappa in product(range(e), repeat=2):
+            p = Params.make(e, kappa)
+            for n in range(7):
+                by_content = {}
+                for b in bips_of(n):
+                    by_content.setdefault(content_counts(b, p), []).append(b)
+                for content in product(range(n + 1), repeat=e):
+                    if sum(content) != n:
+                        continue
+                    key = BlockKey(n, content)
+                    want = by_content.get(content, [])
+                    assert list(members_unpruned(key, p)) == want, (key, p)
+                    assert list(_members(key, p)) == want, (key, p)
 
 
 class TestNucleus:

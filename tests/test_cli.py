@@ -301,6 +301,23 @@ class TestCommands:
         assert res.exit_code == 0
         assert json.loads(res.output) == {"valuation": -1, "pairs": 1}
 
+    def test_js_val_refuses_two_blocks(self):
+        # the README pair's dominant member against (10|-), whose block
+        # differs at e = 6, kappa = (5,4)
+        ten = '{"comp1":[10],"comp2":[]}'
+        res = run("js", "val", "--bip", JS_A, "--bip", ten)
+        assert res.exit_code == 1
+        assert res.output == (
+            'error: (2,1,1,1,1|4) and (10|-) lie in different blocks: '
+            '{"n": 10, "content": [2, 2, 1, 1, 2, 2]} and '
+            '{"n": 10, "content": [2, 2, 2, 1, 1, 2]}\n')
+
+    def test_js_val_keeps_dominance_error(self):
+        res = run("js", "val", "--bip", JS_A, "--bip", JS_A)
+        assert res.exit_code == 1
+        assert res.output == ("error: first argument must strictly dominate "
+                              "the second\n")
+
     def test_js_order(self):
         res = run("js", "order", "--bip", H5DOC)
         assert res.exit_code == 0
@@ -495,6 +512,14 @@ class TestCache:
         plain = run("decomp", "--bip", H5DOC, "--no-cache",
                     env={CACHE_ENV: str(tmp_path)})
         assert cold.output == warm.output == plain.output
+
+    def test_empty_cache_dir_is_unset(self, tmp_path):
+        # an empty BIPBLOCKS_CACHE_DIR falls back to ~/.cache/bipblocks
+        res = run("decomp", "--bip", H5DOC,
+                  env={CACHE_ENV: "", "HOME": str(tmp_path)})
+        assert res.exit_code == 0, res.output
+        cache = tmp_path / ".cache" / "bipblocks"
+        assert len(list(cache.glob("*.json"))) == 1
 
     def test_cached_matrix_hits_disk(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))

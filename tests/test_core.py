@@ -12,9 +12,11 @@ from bipblocks.core import (
 )
 
 
+from bipblocks.abacus import display, from_display
 from helpers import (
     small_bips, bip_pairs, params_st, bips_of, addable_nodes,
-    removable_nodes, dominates_by_rows, partial_sums,
+    removable_nodes, dominates_by_rows, partial_sums, is_checked,
+    rim_hooks_by_beta,
 )
 
 
@@ -25,6 +27,18 @@ class TestPartition:
     def test_rejects_increase(self):
         with pytest.raises(ValueError):
             Partition((1, 2))
+
+    @pytest.mark.parametrize("c1, c2", [((1, 2), ()), ((), (2, -1)),
+                                        ((2, 0, 1), ())])
+    def test_bip_rejects_malformed_parts(self, c1, c2):
+        with pytest.raises(ValueError):
+            bip(c1, c2)
+
+    def test_trusted_constructor_checks_nothing(self):
+        # for parts the package has just built; outside input goes
+        # through Partition(...)
+        q = Partition._of((1, 2))
+        assert type(q) is Partition and q == (1, 2)
 
     def test_row_out_of_range(self):
         p = Partition((4, 2))
@@ -272,6 +286,26 @@ class TestRimHookOracle:
                 got = [(h.nodes, h.hand, h.leg_length, h.component,
                         h.length, h.rest) for h in hooks]
                 assert got == _node_set_hooks(b), b
+
+
+class TestDirectRests:
+    def test_rests_match_beta_rebuild(self):
+        # every bipartition with n <= 10: the hooks whose rests come from
+        # the parts by arithmetic equal the beta-set rebuild's, in order,
+        # and every rest is a checked partition pair
+        for n in range(11):
+            for b in bipartitions(n):
+                hooks = rim_hooks(b)
+                assert hooks == rim_hooks_by_beta(b), b
+                assert all(is_checked(h.rest) for h in hooks), b
+
+    @pytest.mark.parametrize("e", [2, 3, 5])
+    def test_abacus_read_back_is_checked(self, e):
+        p = Params.make(e, (0, 1))
+        for n in range(9):
+            for b in bips_of(n):
+                back = from_display(display(b, p))
+                assert back == b and is_checked(back), b
 
 
 class TestERestricted:

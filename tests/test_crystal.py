@@ -15,7 +15,7 @@ from bipblocks.crystal import (
     StripTrace, signature, is_restricted, is_regular, mu_diamond,
     _next_good, _weight_one_diamond,
 )
-from helpers import small_bips, params_st, bips_of
+from helpers import small_bips, params_st, bips_of, is_checked
 
 P31 = Params.make(3, (0, 1))
 
@@ -219,7 +219,7 @@ class TestCrystalOracles:
 
 
 class TestOneScanOracle:
-    """The one-scan good search and both strips against full signatures."""
+    """The one-walk good search and both strips against full signatures."""
 
     @pytest.mark.parametrize("e", [2, 3, 4, 5])
     def test_every_small_bipartition(self, e):
@@ -238,6 +238,10 @@ class TestOneScanOracle:
                             anti = rep.antigood
                     found = _next_good(b, p)
                     assert (found and found[:2]) == good, (b, p)
+                    if found:
+                        raw = signature(b, found[0], p).raw_string
+                        assert found[2] == (raw.count("-")
+                                            - raw.count("+")), (b, p)
                     regular[b] = (b == EMPTY_BIP if anti is None
                                   else regular[remove_node(b, anti)])
                     assert is_regular(b, p) == regular[b], (b, p)
@@ -248,7 +252,9 @@ class TestOneScanOracle:
                         strips[b] = StripTrace((good[0],) + rest.residues,
                                                rest.terminal)
                     want = (strips[b].terminal == EMPTY_BIP, strips[b])
-                    assert is_restricted(b, p) == want, (b, p)
+                    got = is_restricted(b, p)
+                    assert got == want and is_checked(got[1].terminal), \
+                        (b, p)
 
 
 def diamond_oracle(mu, p):
@@ -275,5 +281,6 @@ class TestDiamondOracle:
             for n in range(8):
                 for b in bips_of(n):
                     if is_restricted(b, p)[0]:
-                        assert mu_diamond(b, p) == diamond_oracle(b, p), \
-                            (b, p)
+                        partner = mu_diamond(b, p)
+                        assert partner == diamond_oracle(b, p), (b, p)
+                        assert is_checked(partner), (b, p)

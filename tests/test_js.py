@@ -221,6 +221,23 @@ class TestMatrixBasics:
         with pytest.raises(ValueError, match="weight"):
             decomposition_matrix(block_key(b, p)[0], p)
 
+    def test_members_of_weight_above_three_refused(self):
+        p = Params.make(2, (0, 0))
+        members = enumerate_block(block_key(bip((), (4,)), p)[0], p)
+        with pytest.raises(ValueError, match="unsupported weight 4"):
+            matrix_from_members(members, p)
+
+    def test_solved_block_weighed_once(self, monkeypatch):
+        # block_weight refuses or admits the block from its key; the solve
+        # takes no second weight from a member
+        def no_weight(b, p):
+            raise AssertionError("weight taken twice")
+        monkeypatch.setattr(js, "weight", no_weight)
+        p = Params.make(4, (0, 3))
+        key = block_key(bip((4,), (4, 1, 1)), p)[0]
+        m = decomposition_matrix(key, p)
+        assert m.block == key and len(m.rows) == 28
+
     def test_rows_canonical_cols_restricted(self):
         p = Params.make(3, (0, 1))
         key, _ = block_key(bip((2, 1), (1, 1)), p)
