@@ -230,8 +230,8 @@ class TestOneScanOracle:
             for n in range(9):  # ascending size: a strip step is known
                 for b in bips_of(n):
                     good = anti = None
-                    for i in range(e):
-                        rep = signature(b, i, p)
+                    reps = [signature(b, i, p) for i in range(e)]
+                    for i, rep in enumerate(reps):
                         if good is None and rep.good is not None:
                             good = (i, rep.good)
                         if anti is None and rep.antigood is not None:
@@ -239,7 +239,7 @@ class TestOneScanOracle:
                     found = _next_good(b, p)
                     assert (found and found[:2]) == good, (b, p)
                     if found:
-                        raw = signature(b, found[0], p).raw_string
+                        raw = reps[found[0]].raw_string
                         assert found[2] == (raw.count("-")
                                             - raw.count("+")), (b, p)
                     regular[b] = (b == EMPTY_BIP if anti is None
