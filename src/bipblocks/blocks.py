@@ -114,13 +114,17 @@ def weight_trace(b: Bipartition, p: Params) -> WeightTrace:
                        from_display(d), xs, ys, total)
 
 
+def _spread(counts, e: int) -> int:
+    """sum_i (c_i - c_{i-1})^2 around the cycle of e residues. The
+    differences sum to 0, so the sum of their squares is even."""
+    return sum((counts[i] - counts[i - 1]) ** 2 for i in range(e))
+
+
 def _content_weight(counts, p: Params) -> int:
     """Fayers' closed form (Adv. Math. 2006): the weight is
     sum_j c_{kappa_j} - (1/2) sum_i (c_i - c_{i+1})^2, from the residue
-    content c. The differences sum to 0 around the cycle, so the sum of
-    their squares is even."""
-    spread = sum((counts[i] - counts[i - 1]) ** 2 for i in range(p.e))
-    return sum(counts[k] for k in p.kappa) - spread // 2
+    content c."""
+    return sum(counts[k] for k in p.kappa) - _spread(counts, p.e) // 2
 
 
 def weight(b: Bipartition, p: Params) -> int:
@@ -355,8 +359,7 @@ def _members(key: BlockKey, p: Params):
             # component 2 takes exactly what component 1 left; a content
             # of negative level-1 weight c_k2 - (1/2) sum_i (c_i -
             # c_{i-1})^2 (Fayers' closed form) has no partition
-            if 2 * counts[k2] < sum((counts[i] - counts[i - 1]) ** 2
-                                    for i in range(p.e)):
+            if 2 * counts[k2] < _spread(counts, p.e):
                 continue
             first = Partition._of(c1)
             for c2 in _rows(key.n - m, key.n - m, 1, k2, counts, p.e):

@@ -251,12 +251,17 @@ def _beta_set(part: Partition, k: int) -> frozenset[int]:
     return frozenset(part.row(r) + k - r for r in range(1, k + 1))
 
 
-def _partition_from_beta(beta, k: int) -> Partition:
-    parts = [v - k + r for r, v in enumerate(sorted(beta, reverse=True),
-                                             start=1)]
+def _trusted(parts: list[int]) -> Partition:
+    """The partition of a weakly decreasing, non-negative part list the
+    package has just built: trailing zeros stripped, nothing checked."""
     while parts and not parts[-1]:
         parts.pop()
     return Partition._of(parts)
+
+
+def _partition_from_beta(beta, k: int) -> Partition:
+    return _trusted([v - k + r for r, v in
+                     enumerate(sorted(beta, reverse=True), start=1)])
 
 
 def rim_hooks(b: Bipartition) -> list[RimHook]:
@@ -277,11 +282,9 @@ def rim_hooks(b: Bipartition) -> list[RimHook]:
                 if s < k and beads[s] == y:
                     leg += 1
                     continue
-                parts = [*part[:r - 1], *(q - 1 for q in part[r:s]),
-                         y - k + s, *part[s:]]
-                while parts and not parts[-1]:
-                    parts.pop()
-                smaller = Partition._of(parts)
+                smaller = _trusted([*part[:r - 1],
+                                    *(q - 1 for q in part[r:s]),
+                                    y - k + s, *part[s:]])
                 rest = (Bipartition(smaller, b.comp2) if a == 1
                         else Bipartition(b.comp1, smaller))
                 out.append(RimHook(hand, leg, a, x - y, rest))

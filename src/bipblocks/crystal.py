@@ -95,28 +95,21 @@ def signature(b: Bipartition, i: int, p: Params) -> SignatureReport:
 
 def _next_good(comps, p: Params):
     """(residue, (row, col, component), delta) of the good node of the
-    smallest residue that has one, from one walk over the rows in reading
-    order; delta counts that residue's removable minus addable nodes. Per
-    residue a stack keeps the uncancelled removable nodes: an addable node
-    cancels the latest one, which is the repeated "-+" cancellation, and
-    the good node is the first one left. The walk reads the cells as
-    ``core.corners`` does, without building a tuple per cell."""
-    e = p.e
-    minus = [[] for _ in range(e)]
-    delta = [0] * e
-    for a, (parts, k) in enumerate(zip(comps, p.kappa), start=1):
-        above = None  # the part of row r - 1
-        for r, x in enumerate((*parts, 0), start=1):
-            if above is None or above > x:
-                if above:
-                    i = (k + above + 1 - r) % e
-                    minus[i].append((r - 1, above, a))
-                    delta[i] += 1
-                i = (k + x + 1 - r) % e
-                if minus[i]:
-                    minus[i].pop()
-                delta[i] -= 1
-            above = x
+    smallest residue that has one, from one corner scan; delta counts that
+    residue's removable minus addable nodes. Per residue a stack keeps the
+    uncancelled removable nodes: an addable node cancels the latest one,
+    which is the repeated "-+" cancellation, and the good node is the
+    first one left."""
+    minus = [[] for _ in range(p.e)]
+    delta = [0] * p.e
+    for a, r, c, i, sign in corners(comps, p):
+        if sign == "-":
+            minus[i].append((r, c, a))
+            delta[i] += 1
+        else:
+            if minus[i]:
+                minus[i].pop()
+            delta[i] -= 1
     for i, left in enumerate(minus):
         if left:
             return i, left[0], delta[i]

@@ -1,7 +1,7 @@
 """Build a root BENCH_<short-sha>.json from paired benchmark runs.
 
     python3 tools/bench_entry.py --parent DIR --change DIR \
-        [--claim WORKLOAD:METRIC] [--ladder ROUNDS] [--label TEXT]
+        [--claim WORKLOAD:METRIC] [--label TEXT]
 
 DIR is a checkout of each commit in which ``perfbench/run.py`` was run
 with the same seeds, settings and host. The entry holds one
@@ -12,10 +12,10 @@ medians against the benchmark's bound. A claimed metric is met when the
 change wins at least nine tenths of the pairs and the medians differ by
 more than the parent's interquartile range.
 
-``--ladder ROUNDS`` also times cold solves of the type-III window
-(0,1,1,2,3) at e = 5, 7, 9 and 11 in each checkout: ``ROUNDS`` alternating
-rounds of one fresh process per side, each process solving every rung
-three times with the enumeration cache cleared. The calibration loop of
+The entry also times cold solves of the type-III window (0,1,1,2,3) at
+e = 5, 7, 9 and 11 in each checkout: ``ROUNDS`` alternating rounds of one
+fresh process per side, each process solving every rung ``REPS`` times
+with the enumeration cache cleared. The calibration loop of
 ``perfbench/worker.py`` is read before and after each process.
 """
 
@@ -34,6 +34,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 LADDER = (5, 7, 9, 11)
 WINDOW = (0, 1, 1, 2, 3)
+ROUNDS = 5
+REPS = 3
 
 
 def _results(checkout: str) -> list[dict]:
@@ -89,7 +91,7 @@ def _claim_met(pairs: dict, workload: str, metric: str) -> bool:
             and p["median"] - c["median"] > p["q3"] - p["q1"])
 
 
-def _ladder_child(reps: int) -> None:
+def _ladder_child() -> None:
     """Time the ladder in this process and print one JSON object."""
     sys.path.insert(0, PERFBENCH)
     from worker import calibrate
@@ -105,7 +107,7 @@ def _ladder_child(reps: int) -> None:
         # the weight-3 block the window's labels name
         key = block_key(fam.labels[0].bipartition, fam.params)[0]
         solve, enum = [], []
-        for _ in range(reps):
+        for _ in range(REPS):
             enumerate_block.cache_clear()
             start = time.perf_counter()
             decomposition_matrix(key, fam.params)
@@ -119,16 +121,16 @@ def _ladder_child(reps: int) -> None:
     print(json.dumps({"rungs": out, "cal_ms": cal}))
 
 
-def _ladder(checkouts: dict, rounds: int) -> dict:
+def _ladder(checkouts: dict) -> dict:
     runs = {side: [] for side in checkouts}
-    for n in range(rounds):
+    for n in range(ROUNDS):
         order = list(checkouts) if n % 2 == 0 else list(checkouts)[::-1]
         for side in order:
             env = dict(os.environ,
                        PYTHONPATH=os.path.join(checkouts[side], "src"))
             proc = subprocess.run(
                 [sys.executable, os.path.abspath(__file__),
-                 "--ladder-child", "3"],
+                 "--ladder-child"],
                 env=env, capture_output=True, text=True, check=True)
             runs[side].append(json.loads(proc.stdout))
     out = {}
@@ -143,8 +145,8 @@ def _ladder(checkouts: dict, rounds: int) -> dict:
         out[side] = {"rungs": rungs, "cal_ms": {
             "median": statistics.median(cal), "min": min(cal),
             "max": max(cal)}}
-    out["about"] = (f"median seconds over {rounds} alternating rounds of "
-                    "3 cold solves each, type III window "
+    out["about"] = (f"median seconds over {ROUNDS} alternating rounds of "
+                    f"{REPS} cold solves each, type III window "
                     f"{WINDOW}; enumeration timed apart; cal_ms is the "
                     "perfbench calibration loop around each round")
     return out
@@ -156,14 +158,12 @@ def main() -> int:
     ap.add_argument("--change")
     ap.add_argument("--claim", default=None,
                     help="WORKLOAD:METRIC the change claims to improve")
-    ap.add_argument("--ladder", type=int, default=0,
-                    help="alternating rounds of the cold ladder (0: none)")
     ap.add_argument("--label", default="")
-    ap.add_argument("--ladder-child", type=int, default=0,
+    ap.add_argument("--ladder-child", action="store_true",
                     help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.ladder_child:
-        _ladder_child(args.ladder_child)
+        _ladder_child()
         return 0
     if not (args.parent and args.change):
         ap.error("--parent and --change are required")
@@ -187,9 +187,7 @@ def main() -> int:
         workload, metric = args.claim.split(":")
         doc["claim"] = {"workload": workload, "metric": metric,
                         "met": _claim_met(pairs, workload, metric)}
-    if args.ladder:
-        doc["ladder"] = _ladder({"parent": args.parent,
-                                 "change": args.change}, args.ladder)
+    doc["ladder"] = _ladder({"parent": args.parent, "change": args.change})
     doc["entries"] = entries
     path = os.path.join(ROOT, f"BENCH_{doc['commit'][:7]}.json")
     with open(path, "w", encoding="utf-8") as fh:
