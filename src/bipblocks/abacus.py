@@ -31,9 +31,13 @@ def canonical_bicharge(n: int, p: Params) -> Bicharge:
 @dataclass(frozen=True)
 class AbacusDisplay:
     params: Params
-    bicharge: Bicharge
     beads1: frozenset[int]
     beads2: frozenset[int]
+
+    @property
+    def bicharge(self) -> Bicharge:
+        """The bead count of each component."""
+        return Bicharge(len(self.beads1), len(self.beads2))
 
     def beads(self, a: int) -> frozenset[int]:
         return self.beads1 if a == 1 else self.beads2
@@ -43,8 +47,6 @@ class AbacusDisplay:
         return sorted(x for x in self.beads(a) if x % self.params.e == runner)
 
     def __post_init__(self):
-        if len(self.beads1) != self.bicharge.k1 or len(self.beads2) != self.bicharge.k2:
-            raise ValueError("bead count must equal the charge")
         if any(x < 0 for x in self.beads1 | self.beads2):
             raise ValueError("positions must be non-negative")
 
@@ -56,7 +58,7 @@ def to_display(b: Bipartition, p: Params, ch: Bicharge) -> AbacusDisplay:
         if k < len(part):
             raise ValueError("charge below partition length")
         beads.append(_beta_set(part, k))
-    return AbacusDisplay(p, ch, beads[0], beads[1])
+    return AbacusDisplay(p, beads[0], beads[1])
 
 
 def display(b: Bipartition, p: Params) -> AbacusDisplay:
@@ -65,8 +67,8 @@ def display(b: Bipartition, p: Params) -> AbacusDisplay:
 
 
 def from_display(d: AbacusDisplay) -> Bipartition:
-    c1 = _partition_from_beta(d.beads1, d.bicharge.k1)
-    c2 = _partition_from_beta(d.beads2, d.bicharge.k2)
+    c1 = _partition_from_beta(d.beads1, len(d.beads1))
+    c2 = _partition_from_beta(d.beads2, len(d.beads2))
     return Bipartition(c1, c2)
 
 
@@ -108,9 +110,7 @@ def transfer_bead(d: AbacusDisplay, from_component: int, runner: int) -> AbacusD
         to += d.params.e
     new = {from_component: d.beads(from_component) - {frm},
            to_component: dst_beads | {to}}
-    ch = Bicharge(d.bicharge.k1 + (1 if to_component == 1 else -1),
-                  d.bicharge.k2 + (1 if to_component == 2 else -1))
-    return AbacusDisplay(d.params, ch, frozenset(new[1]), frozenset(new[2]))
+    return AbacusDisplay(d.params, frozenset(new[1]), frozenset(new[2]))
 
 
 def push_down_lowest(d: AbacusDisplay, component: int, runner: int) -> AbacusDisplay:

@@ -11,7 +11,6 @@ rebuilt by prescribed bead moves; those moves are the member labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -176,7 +175,6 @@ class BlockFamily:
     params: Params
     swapped: bool
     xi: Bipartition
-    xi_display: AbacusDisplay
     z_set: frozenset[int]
     weight: int
     labels: tuple[MemberLabel, ...]
@@ -380,11 +378,9 @@ def block_weight(key: BlockKey, p: Params) -> int:
     return _content_weight(key.content, p)
 
 
-@lru_cache(maxsize=None)
 def enumerate_block(key: BlockKey, p: Params) -> list[Bipartition]:
     """All members of the block, most dominant first, built from the
-    content. The list is memoised: callers share it and must not mutate
-    it."""
+    content."""
     out = canonical_sort(_members(key, p))
     if not out:
         raise ValueError("empty block: no bipartition has this content")
@@ -422,12 +418,11 @@ def _build_family(member: Bipartition, p: Params,
                         f"{g[x] - g[y2]} in gamma, not {expect}, for Z = "
                         f"{sorted(z_set)}")
         labels = _family_labels(xi_d, z_set, wt, swapped, q.e)
-        out.append(BlockFamily(p, swapped, xi, xi_d, frozenset(z_set),
-                               wt, labels))
+        out.append(BlockFamily(p, swapped, xi, frozenset(z_set), wt,
+                               labels))
     return out
 
 
-@lru_cache(maxsize=None)
 def _analyze(key: BlockKey, p: Params):
     return _analyze_member(_member_of(key, p), p)
 
@@ -558,4 +553,4 @@ def family_from_type_params(btype: str, e: int, params: tuple[int, ...],
     if len(z_set) < 2:
         raise ValueError("parameters describe a block of weight below 3")
     labels = _family_labels(xi_d, z_set, 3, False, e)
-    return BlockFamily(p, False, xi, xi_d, z_set, 3, labels)
+    return BlockFamily(p, False, xi, z_set, 3, labels)

@@ -228,16 +228,13 @@ def _cache_path(key: BlockKey, p: Params) -> str:
     return os.path.join(root, digest + ".json")
 
 
-def cached_matrix(key: BlockKey, p: Params,
-                  use_cache: bool = True) -> DecompMatrix:
+def cached_matrix(key: BlockKey, p: Params) -> DecompMatrix:
     """The block's matrix, read from the content-addressed cache when
     possible. The solver version is part of the key, so entries written
     by older solvers are simply never hit. A file that cannot be read,
     does not parse as a matrix, or holds another block's matrix, is a miss
     and is overwritten; a failed write raises ValueError and leaves no
     temporary file."""
-    if not use_cache:
-        return decomposition_matrix(key, p)
     path = _cache_path(key, p)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -341,15 +338,9 @@ def verify_case(spec: CaseSpec, e: Optional[int] = None,
                              f"{exc.args[0]}") from None
 
     mu = member(spec.mu[0], _eval(spec.mu[1], ns))
-    matrix = None
+    members = fam.members()
+    matrix = matrix_from_members(members, fam.params)
     order = None
-
-    def need_matrix():
-        nonlocal matrix
-        if matrix is None:
-            matrix = matrix_from_members(fam.members(), fam.params)
-        return matrix
-
     checks = []
 
     def record(name, expected, actual):
@@ -366,18 +357,15 @@ def verify_case(spec: CaseSpec, e: Optional[int] = None,
             got = mu_diamond(mu, fam.params)
             record("mu partner", _bip_doc(want), _bip_doc(got))
         elif kind == "member-count":
-            record("member count", _eval(payload[0], ns),
-                   len(fam.members()))
+            record("member count", _eval(payload[0], ns), len(members))
         elif kind == "restricted-count":
-            record("restricted columns", payload[0],
-                   len(need_matrix().cols))
+            record("restricted columns", payload[0], len(matrix.cols))
         elif kind == "column-max":
             record("largest entry", payload[0],
-                   max(map(max, need_matrix().entries)))
+                   max(map(max, matrix.entries)))
         elif kind in ("dn", "jbound"):
             name, argexpr, value = payload
-            mat = need_matrix()
-            get = mat.entry if kind == "dn" else mat.jbound
+            get = matrix.entry if kind == "dn" else matrix.jbound
             # one args tuple, or a list of them the window may guard empty
             args = _eval(argexpr, ns)
             for a in [args] if isinstance(args, tuple) else args:
@@ -385,14 +373,13 @@ def verify_case(spec: CaseSpec, e: Optional[int] = None,
                        get(member(name, a), mu))
         elif kind == "tau":
             tau_expr, beta_name, beta_expr = payload
-            mat = need_matrix()
             tau = member("hook", _eval(tau_expr, ns))
             beta = member(beta_name, _eval(beta_expr, ns))
             record("J(tau) forces the chain top",
-                   1 - mat.entry(beta, mu), mat.jbound(tau, mu))
+                   1 - matrix.entry(beta, mu), matrix.jbound(tau, mu))
         elif kind == "order":
             if order is None:
-                order = order_from_members(fam.members(), fam.params)
+                order = order_from_members(members, fam.params)
             (na, ea), (nb, eb), expect = payload
             a = member(na, _eval(ea, ns))
             b = member(nb, _eval(eb, ns))
@@ -859,7 +846,8 @@ def js_refined_order(e, kappa, charp, bip_doc, block_doc, fmt):
 def decomp(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
     """Decomposition matrix of a block of weight at most three."""
     key, p = _resolve_block(bip_doc, block_doc, e, kappa, charp)
-    matrix = cached_matrix(key, p, use_cache=not no_cache)
+    matrix = (decomposition_matrix(key, p) if no_cache
+              else cached_matrix(key, p))
     _emit(fmt, matrix, lambda: _render_matrix_table(matrix))
 
 
@@ -877,7 +865,8 @@ def decomp(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
 def verify(case_id, e, params, run_all, list_cases, fmt):
     """Recompute catalogued families and diff against the fixtures."""
     if list_cases:
-        click.echo("\n".join(sorted(CASES)))
+        ids = sorted(CASES)
+        _emit(fmt, ids, lambda: "".join(f"{c}\n" for c in ids))
         return
     if run_all:
         reports = verify_all()

@@ -86,7 +86,9 @@ class Partition(tuple):
     def conjugate(self) -> "Partition":
         if not self:
             return Partition()
-        return Partition(sum(1 for p in self if p >= c) for c in range(1, self[0] + 1))
+        # the conjugate of a valid partition is valid
+        return Partition._of([sum(1 for p in self if p >= c)
+                              for c in range(1, self[0] + 1)])
 
 
 EMPTY = Partition()
@@ -134,11 +136,6 @@ def conjugate(b: Bipartition) -> Bipartition:
     return Bipartition(b.comp2.conjugate(), b.comp1.conjugate())
 
 
-def conjugate_node(node: Node) -> Node:
-    """Image of a cell under conjugation (transpose, other component)."""
-    return Node(node.col, node.row, 3 - node.component)
-
-
 def dominance_key(b: Bipartition) -> tuple[int, ...]:
     """Interleaved dominance partial sums, 2n entries: the cells in the
     first r rows of component 1, then all of component 1 and the first r
@@ -165,15 +162,16 @@ def dominates(a: Bipartition, b: Bipartition) -> bool:
     return all(map(ge, dominance_key(a), dominance_key(b)))
 
 
+def ranked(bips) -> tuple[tuple[Bipartition, ...], list[tuple[int, ...]]]:
+    """The canonical order, most dominant first, and each member's
+    dominance key. A key determines its bipartition, so no two keys tie."""
+    pairs = sorted(((dominance_key(b), b) for b in bips), reverse=True)
+    return tuple(b for _, b in pairs), [k for k, _ in pairs]
+
+
 def canonical_sort(bips) -> list[Bipartition]:
     """Deterministic order, most dominant first."""
-    return sorted(bips, key=dominance_key, reverse=True)
-
-
-def diagram(b: Bipartition) -> set[Node]:
-    return {Node(r, c, a) for a in (1, 2)
-            for r, width in enumerate(b.comp(a), start=1)
-            for c in range(1, width + 1)}
+    return list(ranked(bips)[0])
 
 
 def corners(comps, p: Params) -> list[tuple[int, int, int, int, str]]:
@@ -289,14 +287,6 @@ def rim_hooks(b: Bipartition) -> list[RimHook]:
                         else Bipartition(b.comp1, smaller))
                 out.append(RimHook(hand, leg, a, x - y, rest))
     return out
-
-
-def is_e_restricted(part: Partition, e: int) -> bool:
-    """Consecutive part differences (last part included) all below e."""
-    if e < 2:
-        raise ValueError("e must be at least 2")
-    part = Partition(part)
-    return all(part.row(r) - part.row(r + 1) < e for r in range(1, len(part) + 1))
 
 
 def partitions(n: int, max_part: Optional[int] = None) -> Iterator[Partition]:

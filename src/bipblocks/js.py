@@ -16,8 +16,8 @@ from itertools import combinations
 from operator import ge
 
 from .core import (
-    Bipartition, InvariantError, Params, RimHook, dominance_key, dominates,
-    residue, rim_hooks,
+    Bipartition, InvariantError, Params, RimHook, dominates, ranked, residue,
+    rim_hooks,
 )
 from .blocks import (
     BlockKey, block_weight, content_counts, enumerate_block, weight,
@@ -37,9 +37,10 @@ class HookPair:
     valuation: int
 
 
-def _hook_data(b: Bipartition):
-    """Per rim hook: the hook and the bipartition its removal leaves."""
-    return [(h, h.rest) for h in rim_hooks(b)]
+def _hook_data(b: Bipartition) -> list[RimHook]:
+    """The rim hooks of b; each carries the bipartition its removal
+    leaves as ``rest``."""
+    return rim_hooks(b)
 
 
 def _pair_valuation(L: RimHook, N: RimHook, p: Params) -> int:
@@ -76,9 +77,9 @@ def _epsilon(L: RimHook, N: RimHook) -> int:
 def _pairs_from_data(data_l, data_n, p: Params) -> list[HookPair]:
     out = []
     # equal sizes and equal rests imply equal hook lengths
-    for L, rest_l in data_l:
-        for N, rest_n in data_n:
-            if rest_l != rest_n:
+    for L in data_l:
+        for N in data_n:
+            if L.rest != N.rest:
                 continue
             if residue(L.hand, p) != residue(N.hand, p):
                 continue
@@ -112,12 +113,6 @@ def js_valuation(lam: Bipartition, nu: Bipartition, p: Params) -> int:
     return signed_sum(dominating_pairs(lam, nu, p))
 
 
-def _ranked(members) -> tuple[tuple[Bipartition, ...], list[tuple]]:
-    """Canonical order, most dominant first, and each member's key."""
-    ranked = sorted(((dominance_key(m), m) for m in members), reverse=True)
-    return tuple(m for _, m in ranked), [k for k, _ in ranked]
-
-
 def _valuation_table(members, keys, p: Params) -> dict:
     """The nonzero signed valuation sums {(i, j): v} of the dominating
     pairs of members, i < j: ``members`` in canonical order (most dominant
@@ -129,8 +124,8 @@ def _valuation_table(members, keys, p: Params) -> dict:
     """
     buckets = defaultdict(list)
     for i, m in enumerate(members):
-        for h, rest in _hook_data(m):
-            buckets[(rest, residue(h.hand, p))].append((i, h))
+        for h in _hook_data(m):
+            buckets[(h.rest, residue(h.hand, p))].append((i, h))
     sums = defaultdict(int)
     for bucket in buckets.values():
         # a rest and its hook give back the member, so a bucket
@@ -153,7 +148,7 @@ class JSOrder:
 
 
 def order_from_members(members, p: Params) -> JSOrder:
-    members, keys = _ranked(members)
+    members, keys = ranked(members)
     below = [set() for _ in members]
     # steps of later rows first: every step runs down the canonical order,
     # so none closes a cycle and each successor's set is already complete
@@ -249,7 +244,7 @@ def _solve(rows, keys, key: BlockKey, p: Params) -> DecompMatrix:
 
 def matrix_from_members(members, p: Params) -> DecompMatrix:
     """Solve the bound recursion over an explicitly given block."""
-    rows, keys = _ranked(members)
+    rows, keys = ranked(members)
     _require_certified(weight(rows[0], p))
     key = BlockKey(rows[0].size, content_counts(rows[0], p))
     return _solve(rows, keys, key, p)
@@ -259,4 +254,4 @@ def decomposition_matrix(key: BlockKey, p: Params) -> DecompMatrix:
     """The block's matrix. A block of weight above 3 is refused from its
     key, before its members are enumerated; the solve weighs no member."""
     _require_certified(block_weight(key, p))
-    return _solve(*_ranked(enumerate_block(key, p)), key, p)
+    return _solve(*ranked(enumerate_block(key, p)), key, p)

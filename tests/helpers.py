@@ -35,6 +35,29 @@ def params_st(max_e=4):
         lambda t: Params.make(t[0], (t[1] % t[0], t[2] % t[0])))
 
 
+# Cell-level definitions: the diagram, conjugation of a cell, and
+# e-restrictedness of one partition.
+
+def diagram(b: Bipartition) -> set[Node]:
+    return {Node(r, c, a) for a in (1, 2)
+            for r, width in enumerate(b.comp(a), start=1)
+            for c in range(1, width + 1)}
+
+
+def conjugate_node(node: Node) -> Node:
+    """Image of a cell under conjugation (transpose, other component)."""
+    return Node(node.col, node.row, 3 - node.component)
+
+
+def is_e_restricted(part: Partition, e: int) -> bool:
+    """Consecutive part differences (last part included) all below e."""
+    if e < 2:
+        raise ValueError("e must be at least 2")
+    part = Partition(part)
+    return all(part.row(r) - part.row(r + 1) < e
+               for r in range(1, len(part) + 1))
+
+
 # Diagram definitions of the boundary, kept as oracles for core.corners.
 
 def addable_nodes(b: Bipartition) -> list[Node]:

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from bipblocks import blocks
 from bipblocks.core import (
     InvariantError, Params, bip, EMPTY_BIP, bipartitions, boundary_nodes,
-    conjugate, diagram, remove_node, residue,
+    conjugate, remove_node, residue,
 )
 from bipblocks.blocks import (
     BlockKey, block_key, block_weight, content_counts, delta_vector,
@@ -17,7 +17,7 @@ from bipblocks.blocks import (
     _build_family, _member_of, _members,
 )
 from helpers import (
-    small_bips, params_st, bips_of, is_checked, members_unpruned,
+    small_bips, params_st, bips_of, is_checked, members_unpruned, diagram,
 )
 
 P43 = Params.make(4, (0, 3))
@@ -160,6 +160,14 @@ class TestEnumerate:
         members = enumerate_block(key_of(bip((3, 1, 1, 1), ()), P43), P43)
         assert sorted(members) == sorted([
             bip((3, 1, 1, 1), ()), bip((3,), (1, 1, 1)), bip((), (4, 1, 1))])
+
+    def test_returns_a_fresh_list(self):
+        # each call computes its own list, so a caller may mutate it
+        key = key_of(B32, P43)
+        first = enumerate_block(key, P43)
+        expected = list(first)
+        first.clear()
+        assert enumerate_block(key, P43) == expected
 
     @pytest.mark.parametrize("e", [2, 3, 4, 5])
     def test_generator_matches_brute_force(self, e):

@@ -344,6 +344,27 @@ class TestCommands:
         assert res.exit_code == 0
         assert "III-8" in res.output.split()
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_verify_list_formats(self, fmt):
+        # one id per line by default, a JSON list under --format json
+        res = run("verify", "--list", "--format", fmt)
+        assert res.exit_code == 0
+        assert res.output == (json.dumps(CASE_IDS, indent=2) + "\n"
+                              if fmt == "json"
+                              else "".join(f"{c}\n" for c in CASE_IDS))
+
+    def test_verify_case_lists_members_once(self, monkeypatch):
+        # the members are listed once and passed to every probe
+        calls = []
+        members = blocks.BlockFamily.members
+
+        def counted(fam):
+            calls.append(fam)
+            return members(fam)
+        monkeypatch.setattr(blocks.BlockFamily, "members", counted)
+        assert verify_case(CASES["IV-5"]).overall
+        assert len(calls) == 1
+
     def test_verify_case(self):
         res = run("verify", "--case", "IV-e2-H5")
         assert res.exit_code == 0
@@ -529,7 +550,8 @@ class TestCache:
         assert len(list(tmp_path.glob("*.json"))) == 1
         again = cached_matrix(key, p)
         assert first == again
-        assert cached_matrix(key, p, use_cache=False) == first
+        # the uncached path solves the same matrix
+        assert decomposition_matrix(key, p) == first
 
     H5 = Params.make(2, (1, 1))
     H5KEY = block_key(bip((), (2, 1, 1, 1)), H5)[0]
@@ -608,6 +630,14 @@ class TestCache:
                               f"{reason}\n")
         assert not list(tmp_path.rglob("*.tmp"))
 
+
+# the case ids of `verify --list`, sorted
+CASE_IDS = [
+    "II-main", "III-1", "III-10", "III-11", "III-12", "III-13", "III-14",
+    "III-15", "III-16", "III-17", "III-18", "III-2", "III-3", "III-4",
+    "III-5", "III-6", "III-7", "III-8", "III-9", "IV-1", "IV-10", "IV-11",
+    "IV-12", "IV-13", "IV-14", "IV-2", "IV-3", "IV-4", "IV-5", "IV-6",
+    "IV-7", "IV-8", "IV-9", "IV-e2-H5"]
 
 # the input of each command's golden outputs
 GOLDEN_ARGS = {

@@ -5,10 +5,10 @@ from hypothesis import given, strategies as st
 
 from bipblocks.core import (
     Params, Partition, Bipartition, Node, bip, EMPTY_BIP,
-    residue, conjugate, conjugate_node, dominates, dominance_key,
+    residue, conjugate, dominates, dominance_key,
     boundary_nodes, corners, rim_hooks,
-    is_e_restricted, partitions, bipartitions,
-    add_node, remove_node, diagram, canonical_sort,
+    partitions, bipartitions,
+    add_node, remove_node, canonical_sort,
 )
 
 
@@ -16,7 +16,7 @@ from bipblocks.abacus import display, from_display
 from helpers import (
     small_bips, bip_pairs, params_st, bips_of, addable_nodes,
     removable_nodes, dominates_by_rows, partial_sums, is_checked,
-    rim_hooks_by_beta,
+    rim_hooks_by_beta, diagram, conjugate_node, is_e_restricted,
 )
 
 
@@ -47,6 +47,14 @@ class TestPartition:
     def test_conjugate(self):
         assert Partition((3, 2, 1, 1)).conjugate() == (4, 2, 1)
         assert Partition(()).conjugate() == ()
+
+    def test_conjugate_is_checked(self):
+        # the trusted conjugate equals its checked rebuild, n <= 12
+        for n in range(13):
+            for q in partitions(n):
+                c = q.conjugate()
+                assert type(c) is Partition and c == Partition(tuple(c))
+                assert c.size == n and c.conjugate() == q
 
 
 class TestBipartitionStr:

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from bipblocks import crystal
 from bipblocks.core import (
     InvariantError, Params, Node, bip, EMPTY_BIP, conjugate,
-    is_e_restricted, add_node, remove_node,
+    add_node, remove_node,
 )
 from bipblocks.blocks import block_key, enumerate_block, weight, \
     weight_trace, family_from_type_params
@@ -15,7 +15,9 @@ from bipblocks.crystal import (
     StripTrace, signature, is_restricted, is_regular, mu_diamond,
     _next_good, _weight_one_diamond,
 )
-from helpers import small_bips, params_st, bips_of, is_checked
+from helpers import (
+    small_bips, params_st, bips_of, is_checked, is_e_restricted,
+)
 
 P31 = Params.make(3, (0, 1))
 
