@@ -215,36 +215,6 @@ def _apply_label(xi_d: AbacusDisplay, kind: str, args) -> AbacusDisplay:
     raise ValueError(f"unknown label kind {kind}")
 
 
-def _family_labels(xi_d: AbacusDisplay, z_set, wt: int, swapped: bool,
-                   e: int) -> tuple[MemberLabel, ...]:
-    comp = sorted(set(range(e)) - set(z_set))
-    zs = sorted(z_set)
-    specs = []
-    if wt == 1:
-        specs = [("down", (z,)) for z in zs]
-    else:
-        for z in zs:
-            for x in range(e):
-                for a in (1, 2):
-                    specs.append(("hook", (z, x, a)))
-        specs += [("down", (x,)) for x in comp]
-        for wi in range(len(zs)):
-            for zi in range(wi + 1, len(zs)):
-                for y in comp:
-                    specs.append(("downdownup", (zs[wi], zs[zi], y)))
-    out = []
-    for kind, args in specs:
-        b = from_display(_apply_label(xi_d, kind, args))
-        if swapped:
-            b = swap_components(b)
-        out.append(MemberLabel(kind, args, b))
-    if len({lab.bipartition for lab in out}) != len(out):
-        raise InvariantError(
-            f"member labels: two labels of the nucleus "
-            f"{from_display(xi_d)} build the same bipartition")
-    return tuple(out)
-
-
 def _btype(delta: tuple[int, ...]) -> str:
     e = len(delta)
     pos = {i: d for i, d in enumerate(delta) if d >= 1}
@@ -387,47 +357,75 @@ def enumerate_block(key: BlockKey, p: Params) -> list[Bipartition]:
     return out
 
 
-def _build_family(member: Bipartition, p: Params,
-                  wt: int) -> list[BlockFamily]:
-    """Reduce to the underlying weight-1 display and build the nucleus and
-    labels in each component order that has a single low runner."""
-    attempts = []
+def _nuclei(member: Bipartition, p: Params) -> list[tuple]:
+    """``(swapped, xi, Z)`` in each component order whose reduction reaches
+    a single low runner: the nucleus xi, in that order, and its Z-set. No
+    labels are built."""
+    out = []
     for swapped in (False, True):
         q = p.swap() if swapped else p
         m = swap_components(member) if swapped else member
         d, _, _, _ = _reduce_display(display(m, q))
         xs, ys = _xy_sets(gamma_vector(d))
-        if len(ys) == 1:
-            attempts.append((swapped, q, d, xs | ys, next(iter(ys))))
-    if not attempts:
-        raise ValueError("no nucleus: reduction does not reach a single "
-                         "low runner")
-    out = []
-    for swapped, q, d, z_set, y in attempts:
-        xi_d = transfer_bead(d, 2, y)
+        if len(ys) != 1:
+            continue
+        z_set = xs | ys
+        xi_d = transfer_bead(d, 2, next(iter(ys)))
         xi = from_display(xi_d)
         # sanity: the nucleus gamma gaps must read off the Z-set
         g = gamma_vector(xi_d)
         for x in range(q.e):
-            for y2 in range(q.e):
-                expect = (1 if (x in z_set and y2 not in z_set)
-                          else -1 if (x not in z_set and y2 in z_set) else 0)
-                if g[x] - g[y2] != expect:
+            for y in range(q.e):
+                expect = (1 if (x in z_set and y not in z_set)
+                          else -1 if (x not in z_set and y in z_set) else 0)
+                if g[x] - g[y] != expect:
                     raise InvariantError(
-                        f"nucleus: runners {x} and {y2} of {xi} differ by "
-                        f"{g[x] - g[y2]} in gamma, not {expect}, for Z = "
+                        f"nucleus: runners {x} and {y} of {xi} differ by "
+                        f"{g[x] - g[y]} in gamma, not {expect}, for Z = "
                         f"{sorted(z_set)}")
-        labels = _family_labels(xi_d, z_set, wt, swapped, q.e)
-        out.append(BlockFamily(p, swapped, xi, frozenset(z_set), wt,
-                               labels))
+        out.append((swapped, xi, z_set))
+    if not out:
+        raise ValueError("no nucleus: reduction does not reach a single "
+                         "low runner")
     return out
 
 
-def _analyze(key: BlockKey, p: Params):
-    return _analyze_member(_member_of(key, p), p)
+def _family(p: Params, swapped: bool, xi: Bipartition, z_set,
+            wt: int) -> BlockFamily:
+    """The labelled family of the nucleus xi, given in the component order
+    ``swapped`` names, and its Z-set: the one place labels are built.
+
+    Any bicharge of the right residues that holds xi gives the same
+    labels: a shift by a common multiple of e lands every bead move
+    exactly that shift lower and gives each component only empty top rows.
+    """
+    q = p.swap() if swapped else p
+    ch = canonical_bicharge(xi.size + 6 * p.e, q)
+    xi_d = to_display(xi, q, Bicharge(ch.k1 + 1, ch.k2 - 1))
+    comp = sorted(set(range(p.e)) - set(z_set))
+    zs = sorted(z_set)
+    if wt == 1:
+        specs = [("down", (z,)) for z in zs]
+    else:
+        specs = ([("hook", (z, x, a)) for z in zs for x in range(p.e)
+                  for a in (1, 2)]
+                 + [("down", (x,)) for x in comp]
+                 + [("downdownup", (w, z, y)) for i, w in enumerate(zs)
+                    for z in zs[i + 1:] for y in comp])
+    labels = []
+    for kind, args in specs:
+        b = from_display(_apply_label(xi_d, kind, args))
+        if swapped:
+            b = swap_components(b)
+        labels.append(MemberLabel(kind, args, b))
+    if len({lab.bipartition for lab in labels}) != len(labels):
+        raise InvariantError(
+            f"member labels: two labels of the nucleus {xi} build the "
+            f"same bipartition")
+    return BlockFamily(p, swapped, xi, frozenset(z_set), wt, tuple(labels))
 
 
-def _analyze_member(member: Bipartition, p: Params):
+def _analyze_member(member: Bipartition, p: Params) -> BlockDescriptor:
     key, delta = block_key(member, p)
     wt = _content_weight(key.content, p)
     # the reduction of weight_trace moves nothing exactly when push_up
@@ -436,44 +434,44 @@ def _analyze_member(member: Bipartition, p: Params):
     d = display(member, p)
     core = is_bicore(d) and _swap_candidates(gamma_vector(d)) is None
     btype = _btype(delta)
-    family = type_params = None
+    nucleus, type_params = (False, None, None), None
     if wt == 1 or (wt == 3 and not core):
-        candidates = _build_family(member, p, wt)
+        candidates = _nuclei(member, p)
         # the first order whose nucleus reads back a parameter window; if
         # the nucleus has the mirrored chirality in both component orders
         # (possible when kappa is symmetric), the labels still work, only
         # the parameter window is unavailable
-        family = candidates[0]
+        nucleus = candidates[0]
         if wt == 3 and btype in ("II", "III", "IV"):
-            for cand in candidates:
-                oriented_p = cand.params.swap() if cand.swapped else cand.params
-                tp = _extract_type_params(cand.xi, oriented_p, btype)
+            for swapped, xi, z_set in candidates:
+                tp = _extract_type_params(xi, p.swap() if swapped else p,
+                                          btype)
                 if tp is not None:
-                    family, type_params = cand, tp
+                    nucleus, type_params = (swapped, xi, z_set), tp
                     break
-    desc = BlockDescriptor(
+    swapped, xi, z_set = nucleus
+    return BlockDescriptor(
         key=key, weight=wt, delta=delta, is_core=core, btype=btype,
-        nucleus=family.xi if family else None,
-        z_set=family.z_set if family else None,
-        type_params=type_params,
-        swapped=family.swapped if family else False)
-    return desc, family
+        nucleus=xi, z_set=z_set, type_params=type_params, swapped=swapped)
 
 
 def classify_type(key: BlockKey, p: Params) -> BlockDescriptor:
-    return _analyze(key, p)[0]
+    return _analyze_member(_member_of(key, p), p)
 
 
 def block_family(key: BlockKey, p: Params) -> BlockFamily:
-    fam = _analyze(key, p)[1]
-    if fam is None:
+    """The labelled family built from the block's nucleus."""
+    desc = classify_type(key, p)
+    if desc.nucleus is None:
         raise ValueError("no nucleus: block is core or of even weight")
-    return fam
+    return _family(p, desc.swapped, desc.nucleus, desc.z_set, desc.weight)
 
 
 def nucleus_and_Z(key: BlockKey, p: Params) -> tuple[Bipartition, frozenset[int]]:
-    fam = block_family(key, p)
-    return fam.xi, fam.z_set
+    desc = classify_type(key, p)
+    if desc.nucleus is None:
+        raise ValueError("no nucleus: block is core or of even weight")
+    return desc.nucleus, desc.z_set
 
 
 def constructive_members(key: BlockKey, p: Params) -> list[Bipartition]:
@@ -500,12 +498,13 @@ def exceptional_labels(fam: BlockFamily) -> list[MemberLabel]:
 
 def exceptional_bips(key: BlockKey, p: Params) -> list[MemberLabel]:
     """Exceptional members of a weight-3 block, as labels."""
-    desc, fam = _analyze(key, p)
+    desc = classify_type(key, p)
     if desc.weight != 3:
         raise ValueError("exceptional members are defined for weight 3 only")
     if desc.is_core:
         return []
-    return exceptional_labels(fam)
+    return exceptional_labels(_family(p, desc.swapped, desc.nucleus,
+                                      desc.z_set, 3))
 
 
 def _rect(rows: int, width: int) -> Partition:
@@ -547,10 +546,7 @@ def family_from_type_params(btype: str, e: int, params: tuple[int, ...],
         raise InvariantError(
             f"type parameters: the nucleus {xi} of the {btype} window "
             f"{tuple(params)} reads back as {extracted}")
-    ch = canonical_bicharge(xi.size + 6 * e, p)
-    xi_d = to_display(xi, p, Bicharge(ch.k1 + 1, ch.k2 - 1))
     z_set = _z_from_params(btype, tuple(params), e)
     if len(z_set) < 2:
         raise ValueError("parameters describe a block of weight below 3")
-    labels = _family_labels(xi_d, z_set, 3, False, e)
-    return BlockFamily(p, False, xi, z_set, 3, labels)
+    return _family(p, False, xi, z_set, 3)

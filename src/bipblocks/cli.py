@@ -50,6 +50,10 @@ def _key_doc(key: BlockKey) -> dict:
 def serialize(value) -> str:
     """Canonical JSON text for the documented value types; a plain dict or
     list is the document itself."""
+    return json.dumps(_doc(value), indent=2) + "\n"
+
+
+def _doc(value):
     if isinstance(value, (dict, list)):
         doc = value
     elif isinstance(value, Bipartition):
@@ -87,7 +91,7 @@ def serialize(value) -> str:
         }
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
-    return json.dumps(doc, indent=2) + "\n"
+    return doc
 
 
 def _load_doc(text: str) -> dict:
@@ -172,7 +176,10 @@ def _parse_check(doc) -> Check:
 
 def parse(text: str):
     """Inverse of serialize; the value type is inferred from the keys."""
-    doc = _load_doc(text)
+    return _parse_doc(_load_doc(text))
+
+
+def _parse_doc(doc: dict):
     if "caseId" in doc:
         checks = _list_field(doc, "checks")
         return VerifyReport(_typed(_field(doc, "caseId"), "caseId", str),
@@ -217,10 +224,16 @@ def parse(text: str):
 # ---------------------------------------------------------------------------
 # matrix cache
 
+def _cache_stamp(p: Params) -> dict:
+    """What a cache document records besides its matrix: the solver
+    version and the parameters the matrix was solved for."""
+    return {"version": SOLVER_VERSION, "e": p.e, "kappa": list(p.kappa),
+            "charp": p.charp}
+
+
 def _cache_path(key: BlockKey, p: Params) -> str:
-    ident = json.dumps({
-        "version": SOLVER_VERSION, "e": p.e, "kappa": list(p.kappa),
-        "charp": p.charp, "n": key.n, "content": list(key.content)})
+    ident = json.dumps({**_cache_stamp(p), "n": key.n,
+                        "content": list(key.content)})
     digest = hashlib.sha256(ident.encode()).hexdigest()
     # an empty value is unset, like an absent one
     root = os.environ.get(CACHE_ENV) or os.path.join(
@@ -230,15 +243,18 @@ def _cache_path(key: BlockKey, p: Params) -> str:
 
 def cached_matrix(key: BlockKey, p: Params) -> DecompMatrix:
     """The block's matrix, read from the content-addressed cache when
-    possible. The solver version is part of the key, so entries written
-    by older solvers are simply never hit. A file that cannot be read,
-    does not parse as a matrix, or holds another block's matrix, is a miss
-    and is overwritten; a failed write raises ValueError and leaves no
-    temporary file."""
-    path = _cache_path(key, p)
+    possible. A cache document is the matrix's document with the solver
+    version, e, kappa and charp beside it. A file that cannot be read,
+    does not parse as a matrix, holds another block's matrix, or records
+    another version or other parameters, is a miss and is overwritten; a
+    failed write raises ValueError and leaves no temporary file."""
+    path, stamp = _cache_path(key, p), _cache_stamp(p)
     try:
         with open(path, encoding="utf-8") as fh:
-            value = parse(fh.read())
+            doc = _load_doc(fh.read())
+        # json.dumps tells true from 1, which == does not
+        value = (_parse_doc(doc) if json.dumps([doc.get(f) for f in stamp])
+                 == json.dumps(list(stamp.values())) else None)
     except (OSError, ValueError):
         value = None
     if isinstance(value, DecompMatrix) and value.block == key:
@@ -248,7 +264,7 @@ def cached_matrix(key: BlockKey, p: Params) -> DecompMatrix:
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(serialize(matrix))
+            fh.write(serialize({**stamp, **_doc(matrix)}))
         os.replace(tmp, path)  # last writer wins; content is identical anyway
     except OSError as exc:
         with contextlib.suppress(OSError):
@@ -652,6 +668,8 @@ def _resolve_bip(doc_text: Optional[str], e, kappa, charp):
 
 def _resolve_block(bip_text, block_text, e, kappa, charp):
     """Either document flavour pins down a block."""
+    if bip_text is not None and block_text is not None:
+        raise click.UsageError("supply --bip or --block, not both")
     if block_text is not None:
         doc = _read_doc(block_text)
         p = _resolve(doc, e, kappa, charp)
@@ -864,6 +882,13 @@ def decomp(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
               default="table")
 def verify(case_id, e, params, run_all, list_cases, fmt):
     """Recompute catalogued families and diff against the fixtures."""
+    modes = [flag for flag, given in (("--case", case_id is not None),
+                                      ("--all", run_all),
+                                      ("--list", list_cases)) if given]
+    if len(modes) > 1:
+        raise click.UsageError(f"{' and '.join(modes)} exclude each other")
+    if case_id is None and (e is not None or params is not None):
+        raise click.UsageError("--e and --params need --case")
     if list_cases:
         ids = sorted(CASES)
         _emit(fmt, ids, lambda: "".join(f"{c}\n" for c in ids))

@@ -8,7 +8,11 @@ from bipblocks.core import (
     Bipartition, InvariantError, Node, Params, Partition, RimHook,
     _beta_set, bipartitions, canonical_sort, dominance_key, dominates,
 )
-from bipblocks.blocks import BlockKey, _rows
+from bipblocks.abacus import display, from_display, gamma_vector, transfer_bead
+from bipblocks.blocks import (
+    BlockKey, _apply_label, _reduce_display, _rows, _xy_sets,
+    swap_components,
+)
 from bipblocks.crystal import is_restricted
 from bipblocks.js import _valuation_table
 
@@ -187,3 +191,43 @@ def members_unpruned(key: BlockKey, p: Params):
         for c1 in _rows(m, m, 1, k1, counts, p.e):
             for c2 in _rows(key.n - m, key.n - m, 1, k2, counts, p.e):
                 yield Bipartition(Partition(c1), Partition(c2))
+
+
+# The label path that blocks._family replaced, kept as its oracle: the
+# labels are built on the reduced display of a member, at the bicharge of
+# that member's size, in each component order whose reduction reaches a
+# single low runner.
+
+def labels_by_reduction(member: Bipartition, p: Params,
+                        wt: int) -> dict[bool, list[tuple]]:
+    """``(kind, args, bipartition)`` of every label, keyed by ``swapped``."""
+    out = {}
+    for swapped in (False, True):
+        q = p.swap() if swapped else p
+        m = swap_components(member) if swapped else member
+        d, _, _, _ = _reduce_display(display(m, q))
+        xs, ys = _xy_sets(gamma_vector(d))
+        if len(ys) != 1:
+            continue
+        xi_d = transfer_bead(d, 2, next(iter(ys)))
+        zs = sorted(xs | ys)
+        comp = sorted(set(range(q.e)) - set(zs))
+        specs = []
+        if wt == 1:
+            specs = [("down", (z,)) for z in zs]
+        else:
+            for z in zs:
+                for x in range(q.e):
+                    for a in (1, 2):
+                        specs.append(("hook", (z, x, a)))
+            specs += [("down", (x,)) for x in comp]
+            for wi in range(len(zs)):
+                for zi in range(wi + 1, len(zs)):
+                    for y in comp:
+                        specs.append(("downdownup", (zs[wi], zs[zi], y)))
+        labels = []
+        for kind, args in specs:
+            b = from_display(_apply_label(xi_d, kind, args))
+            labels.append((kind, args, swap_components(b) if swapped else b))
+        out[swapped] = labels
+    return out

@@ -14,10 +14,11 @@ from bipblocks.blocks import (
     weight, weight_trace, enumerate_block, nucleus_and_Z, classify_type,
     exceptional_bips, exceptional_labels, block_family,
     family_from_type_params, constructive_members, swap_components,
-    _build_family, _member_of, _members,
+    _nuclei, _member_of, _members,
 )
 from helpers import (
     small_bips, params_st, bips_of, is_checked, members_unpruned, diagram,
+    labels_by_reduction,
 )
 
 P43 = Params.make(4, (0, 3))
@@ -252,6 +253,41 @@ class TestNucleus:
         assert fam.bip_of("hook", (2, 3, 1)) == B32
 
 
+class TestFamilyOracle:
+    """The labels of ``block_family``, built on a display made from the
+    nucleus, against labels built on the reduced display of a member."""
+
+    @pytest.mark.parametrize("e, n_max", [(2, 10), (3, 10), (4, 10),
+                                          (5, 9)])
+    def test_every_odd_weight_block(self, e, n_max):
+        # shifting both charges relabels the residues, so kappa = (0, k)
+        # reaches every block up to that relabelling
+        for k in range(e):
+            p = Params.make(e, (0, k))
+            for n in range(n_max + 1):
+                contents = (content_counts(b, p) for b in bips_of(n))
+                for content in dict.fromkeys(contents):
+                    key = BlockKey(n, content)
+                    desc = classify_type(key, p)
+                    if not (desc.weight == 1
+                            or desc.weight == 3 and not desc.is_core):
+                        continue
+                    fam = block_family(key, p)
+                    want = labels_by_reduction(_member_of(key, p), p,
+                                               desc.weight)
+                    got = [(lab.kind, lab.args, lab.bipartition)
+                           for lab in fam.labels]
+                    assert got == want[fam.swapped], (key, p)
+
+    def test_classification_builds_no_labels(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a label while classifying")
+
+        monkeypatch.setattr(blocks, "_apply_label", refuse)
+        desc = classify_type(key_of(B32, P43), P43)
+        assert desc.weight == 3 and desc.nucleus == bip((2,), (1, 1))
+
+
 class TestTypeFamilies:
     def test_type_ii_example(self):
         fam = family_from_type_params("II", 11, (1, 3, 5, 8))
@@ -333,7 +369,7 @@ class TestInvariantErrors:
                             lambda g: (frozenset(), xy_sets(g)[1]))
         with pytest.raises(InvariantError, match=r"nucleus: runners \d+ "
                            r"and \d+ of \(2\|1,1\) differ by"):
-            _build_family(B32, P43, 3)
+            _nuclei(B32, P43)
 
     def test_type_parameter_round_trip(self, monkeypatch):
         monkeypatch.setattr(blocks, "_extract_type_params",

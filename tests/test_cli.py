@@ -15,11 +15,11 @@ from bipblocks.core import Params, bip, canonical_sort
 from bipblocks.blocks import (
     BlockDescriptor, BlockKey, block_key, classify_type,
 )
-from bipblocks import blocks, js
+from bipblocks import blocks, cli, js
 from bipblocks.js import DecompMatrix, decomposition_matrix
 from bipblocks.cli import (
     CACHE_ENV, CASES, main, parse, serialize, verify_case, cached_matrix,
-    VerifyReport, Check, _cache_path,
+    VerifyReport, Check, _cache_path, _cache_stamp,
 )
 from helpers import bips_of, small_bips
 
@@ -396,6 +396,24 @@ class TestCommands:
         assert res.output == ("error: IV-11 at e = 4, window (0, 0, 0, 0, "
                               "1): no member labelled hook(1, 1, 1)\n")
 
+    # conflicting inputs: one would be dropped without a word
+    @pytest.mark.parametrize("args, message", [
+        (["block", "info", "--bip", DOC, "--block", H5DOC],
+         "supply --bip or --block, not both"),
+        (["verify", "--list", "--case", "III-8"],
+         "--case and --list exclude each other"),
+        (["verify", "--all", "--case", "III-8"],
+         "--case and --all exclude each other"),
+        (["verify", "--all", "--list"], "--all and --list exclude each other"),
+        (["verify", "--all", "--e", "5"], "--e and --params need --case"),
+        (["verify", "--list", "--params", "0,2,3,3,3"],
+         "--e and --params need --case"),
+    ])
+    def test_conflicting_inputs(self, args, message):
+        res = run(*args)
+        assert res.exit_code == 2
+        assert message in res.output
+
     def test_verify_params_not_integers(self):
         res = run("verify", "--case", "III-8", "--params", "0,2,x,3,3")
         assert res.exit_code == 2
@@ -556,6 +574,11 @@ class TestCache:
     H5 = Params.make(2, (1, 1))
     H5KEY = block_key(bip((), (2, 1, 1, 1)), H5)[0]
 
+    def _cache_doc(self, key) -> dict:
+        """The cache document of ``key``'s matrix at H5's parameters."""
+        return {**_cache_stamp(self.H5),
+                **json.loads(serialize(decomposition_matrix(key, self.H5)))}
+
     def _decomp_over(self, tmp_path, text):
         """decomp of H5DOC with ``text`` already in its cache file."""
         path = tmp_path / os.path.basename(_cache_path(self.H5KEY, self.H5))
@@ -565,20 +588,53 @@ class TestCache:
         assert res.exit_code == 0
         assert res.output == plain.output
         # the miss was recomputed and written over the bad file
-        assert path.read_text(encoding="utf-8") == plain.output
+        assert path.read_text(encoding="utf-8") == \
+            serialize(self._cache_doc(self.H5KEY))
+
+    def test_cache_document_records_its_parameters(self, tmp_path):
+        run("decomp", "--bip", H5DOC, env={CACHE_ENV: str(tmp_path)})
+        (path,) = tmp_path.glob("*.json")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert (doc["version"], doc["e"], doc["kappa"], doc["charp"]) == \
+            (cli.SOLVER_VERSION, 2, [1, 1], 0)
 
     def test_other_blocks_matrix_is_a_miss(self, tmp_path):
         other = block_key(bip((1,), ()), self.H5)[0]
-        self._decomp_over(tmp_path,
-                          serialize(decomposition_matrix(other, self.H5)))
+        self._decomp_over(tmp_path, json.dumps(self._cache_doc(other)))
 
     def test_truncated_file_is_a_miss(self, tmp_path):
-        full = serialize(decomposition_matrix(self.H5KEY, self.H5))
+        full = serialize(self._cache_doc(self.H5KEY))
         self._decomp_over(tmp_path, full[:len(full) // 2])
 
+    # the parent's cache document was the bare matrix: no stamp at all
+    @pytest.mark.parametrize("field, value", [
+        ("version", 0), ("e", 3), ("kappa", [0, 1]), ("charp", 3),
+        ("charp", False), ("version", None)])
+    def test_other_stamp_is_a_miss(self, tmp_path, field, value):
+        doc = self._cache_doc(self.H5KEY)
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        self._decomp_over(tmp_path, json.dumps(doc))
+
+    def test_other_charp_file_is_a_miss(self, tmp_path, monkeypatch):
+        # a block's charp 0 file copied to its charp 3 path is not served
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        p3 = Params.make(2, (1, 1), 3)
+        cached_matrix(self.H5KEY, self.H5)
+        src, dst = (Path(_cache_path(self.H5KEY, p)) for p in (self.H5, p3))
+        dst.write_bytes(src.read_bytes())
+        solved = []
+        monkeypatch.setattr(cli, "decomposition_matrix", lambda key, p:
+                            solved.append(p) or decomposition_matrix(key, p))
+        assert cached_matrix(self.H5KEY, p3) == \
+            decomposition_matrix(self.H5KEY, p3)
+        assert solved == [p3]
+        assert json.loads(dst.read_text(encoding="utf-8"))["charp"] == 3
+
     def test_short_cell_tables_are_a_miss(self, tmp_path):
-        doc = json.loads(serialize(decomposition_matrix(self.H5KEY,
-                                                        self.H5)))
+        doc = self._cache_doc(self.H5KEY)
         for field in ("entries", "jBounds", "flags"):
             doc[field].pop()
         self._decomp_over(tmp_path, json.dumps(doc))
@@ -590,8 +646,7 @@ class TestCache:
         ("flags", 42), ("flags", "clamp"),
     ])
     def test_mistyped_cell_is_a_miss(self, tmp_path, field, value):
-        doc = json.loads(serialize(decomposition_matrix(self.H5KEY,
-                                                        self.H5)))
+        doc = self._cache_doc(self.H5KEY)
         doc[field][0][0] = value
         self._decomp_over(tmp_path, json.dumps(doc))
 
@@ -603,8 +658,7 @@ class TestCache:
     ])
     def test_inconsistent_cell_is_a_miss(self, tmp_path, field, bound,
                                          value):
-        doc = json.loads(serialize(decomposition_matrix(self.H5KEY,
-                                                        self.H5)))
+        doc = self._cache_doc(self.H5KEY)
         r, c = next((r, c) for r, row in enumerate(doc["jBounds"])
                     for c, j in enumerate(row) if j == bound)
         doc[field][r][c] = value

