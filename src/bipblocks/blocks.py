@@ -511,8 +511,8 @@ def _rect(rows: int, width: int) -> Partition:
     return Partition((width,) * rows)
 
 
-def family_from_type_params(btype: str, e: int, params: tuple[int, ...],
-                            charp: int = 0) -> BlockFamily:
+def family_from_type_params(btype: str, e: int,
+                            params: tuple[int, ...]) -> BlockFamily:
     """Build the label machinery of a block directly from its type
     parameters, without enumerating anything.
 
@@ -540,7 +540,7 @@ def family_from_type_params(btype: str, e: int, params: tuple[int, ...],
         kappa = (j + l - i + 1 - off, k + m + 3 - i)
     else:
         raise ValueError("type must be II, III or IV")
-    p = Params.make(e, kappa, charp)
+    p = Params.make(e, kappa)
     extracted = _extract_type_params(xi, p, btype)
     if extracted != tuple(params):
         raise InvariantError(

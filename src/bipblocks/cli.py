@@ -161,10 +161,10 @@ def _parse_bip_fields(doc: dict, where: str = "") -> Bipartition:
                _int_list_field(_field(doc, "comp2", where), where + "comp2"))
 
 
-def _parse_key_fields(doc: dict) -> BlockKey:
-    return BlockKey(_typed(_field(doc, "n", "block."), "n", int),
-                    _int_list_field(_field(doc, "content", "block."),
-                                    "content"))
+def _parse_key_fields(doc: dict, where: str = "") -> BlockKey:
+    return BlockKey(_typed(_field(doc, "n", where), where + "n", int),
+                    _int_list_field(_field(doc, "content", where),
+                                    where + "content"))
 
 
 def _parse_check(doc) -> Check:
@@ -189,7 +189,8 @@ def _parse_doc(doc: dict):
         rows, cols = (tuple(_parse_bip_fields(d, f"{name}.")
                             for d in _list_field(doc, name))
                       for name in ("rows", "cols"))
-        m = DecompMatrix(_parse_key_fields(_field(doc, "block")), rows, cols,
+        key = _parse_key_fields(_field(doc, "block"), "block.")
+        m = DecompMatrix(key, rows, cols,
                          _bound_table(doc, len(rows), len(cols)))
         # entries and flags derive from jBounds: stored ones must match
         for name in ("entries", "flags"):
@@ -204,7 +205,7 @@ def _parse_doc(doc: dict):
             raise ValueError("field type must be one of "
                              + ", ".join(_BLOCK_TYPES))
         return BlockDescriptor(
-            key=_parse_key_fields(doc["block"]),
+            key=_parse_key_fields(doc["block"], "block."),
             weight=_typed(doc["weight"], "weight", int),
             delta=_int_list_field(_field(doc, "delta"), "delta"),
             is_core=_typed(_field(doc, "isCore"), "isCore", bool),
@@ -645,25 +646,39 @@ def _parse_params(text: str) -> tuple[int, ...]:
         raise click.UsageError("--params takes comma-separated integers")
 
 
-def _resolve(doc: Optional[dict], e, kappa, charp) -> Params:
-    doc = doc or {}
-    if e is None and "e" in doc:
-        e = _typed(doc["e"], "e", int)
-    if kappa is None and "kappa" in doc:
-        kappa = _int_list_field(doc["kappa"], "kappa", 2)
-    if charp is None:
-        charp = _typed(doc.get("charp", 0), "charp", int)
-    if e is None or kappa is None:
+_PARAM_FIELDS = {"e": lambda v: _typed(v, "e", int),
+                 "kappa": lambda v: _int_list_field(v, "kappa", 2),
+                 "charp": lambda v: _typed(v, "charp", int)}
+
+
+def _resolve(docs: list[dict], e, kappa, charp) -> Params:
+    """The parameters: each flag given, else the field of the documents
+    that carry it. Documents that give a field no flag sets two values
+    are a usage error."""
+    given = {"e": e, "kappa": kappa, "charp": charp}
+    for name, read in _PARAM_FIELDS.items():
+        if given[name] is not None:
+            continue
+        values = []
+        for doc in docs:
+            if name in doc and (v := read(doc[name])) not in values:
+                values.append(v)
+        if len(values) > 1:
+            raise click.UsageError(
+                f"the documents disagree on {name}: "
+                + " and ".join(json.dumps(v) for v in values))
+        given[name] = values[0] if values else None
+    if given["e"] is None or given["kappa"] is None:
         raise click.UsageError("supply --e and --kappa (or a document "
                                "carrying them)")
-    return Params.make(e, kappa, charp)
+    return Params.make(given["e"], given["kappa"], given["charp"] or 0)
 
 
 def _resolve_bip(doc_text: Optional[str], e, kappa, charp):
     if doc_text is None:
         raise click.UsageError("this command needs --bip")
     doc = _read_doc(doc_text)
-    return _parse_bip_fields(doc), _resolve(doc, e, kappa, charp)
+    return _parse_bip_fields(doc), _resolve([doc], e, kappa, charp)
 
 
 def _resolve_block(bip_text, block_text, e, kappa, charp):
@@ -672,8 +687,8 @@ def _resolve_block(bip_text, block_text, e, kappa, charp):
         raise click.UsageError("supply --bip or --block, not both")
     if block_text is not None:
         doc = _read_doc(block_text)
-        p = _resolve(doc, e, kappa, charp)
-        if "n" in doc:
+        p = _resolve([doc], e, kappa, charp)
+        if "n" in doc or "content" in doc:
             return _parse_key_fields(doc), p
         b = _parse_bip_fields(doc)
         return block_key(b, p)[0], p
@@ -832,7 +847,7 @@ def js_val(bip_docs, e, kappa, charp, fmt):
     if len(bip_docs) != 2:
         raise click.UsageError("supply --bip twice, dominant first")
     doc_a, doc_b = (_read_doc(t) for t in bip_docs)
-    p = _resolve(doc_a, e, kappa, charp)
+    p = _resolve([doc_a, doc_b], e, kappa, charp)
     a, b = _parse_bip_fields(doc_a), _parse_bip_fields(doc_b)
     key_a, key_b = (block_key(x, p)[0] for x in (a, b))
     if key_a != key_b:

@@ -56,7 +56,10 @@ class Partition(tuple):
     """A partition: weakly decreasing positive integers. Zeros are stripped."""
 
     def __new__(cls, parts=()):
-        parts = tuple(int(x) for x in parts)
+        parts = tuple(parts)
+        # int() would truncate a float and read a bool or a digit string
+        if any(type(x) is not int for x in parts):
+            raise ValueError("parts must be integers")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         for a, b in zip(parts, parts[1:]):

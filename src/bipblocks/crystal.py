@@ -17,10 +17,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    Bipartition, InvariantError, Node, Params, Partition, add_node,
-    conjugate, corners, dominates,
+    EMPTY_BIP, Bipartition, InvariantError, Node, Params, Partition,
+    add_node, conjugate, corners,
 )
-from .blocks import block_key, enumerate_block, weight
+# Bound but not called: perfbench/spans.py::instrument wraps these names in
+# this module, and test_benchmark_bindings_are_traced fails if one is gone.
+from .blocks import block_key, enumerate_block, weight  # noqa: F401
+from .core import dominates  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -94,53 +97,38 @@ def signature(b: Bipartition, i: int, p: Params) -> SignatureReport:
 
 
 def _next_good(comps, p: Params):
-    """(residue, (row, col, component), delta) of the good node of the
-    smallest residue that has one, from one corner scan; delta counts that
-    residue's removable minus addable nodes. Per residue a stack keeps the
-    uncancelled removable nodes: an addable node cancels the latest one,
-    which is the repeated "-+" cancellation, and the good node is the
+    """(residue, (row, col, component)) of the good node of the smallest
+    residue that has one, from one corner scan. Per residue a stack keeps
+    the uncancelled removable nodes: an addable node cancels the latest
+    one, which is the repeated "-+" cancellation, and the good node is the
     first one left."""
     minus = [[] for _ in range(p.e)]
-    delta = [0] * p.e
     for a, r, c, i, sign in corners(comps, p):
         if sign == "-":
             minus[i].append((r, c, a))
-            delta[i] += 1
-        else:
-            if minus[i]:
-                minus[i].pop()
-            delta[i] -= 1
+        elif minus[i]:
+            minus[i].pop()
     for i, left in enumerate(minus):
         if left:
-            return i, left[0], delta[i]
+            return i, left[0]
     return None
-
-
-def _good_strip(comps, p: Params):
-    """Remove good nodes from the part lists ``comps`` in place, one per
-    step, until none is left. Each step yields its residue and that
-    residue's removable minus addable nodes before the step. Only the
-    last row can empty."""
-    while (found := _next_good(comps, p)) is not None:
-        i, (r, _, a), delta = found
-        parts = comps[a - 1]
-        parts[r - 1] -= 1
-        if not parts[r - 1]:
-            parts.pop()
-        yield i, delta
-
-
-def _terminal(comps) -> Bipartition:
-    """The bipartition of two part lists a strip has lowered."""
-    return Bipartition(Partition._of(comps[0]), Partition._of(comps[1]))
 
 
 def is_restricted(b: Bipartition, p: Params) -> tuple[bool, StripTrace]:
     """Strip good nodes as long as any exist; restricted means the empty
-    bipartition is reached."""
+    bipartition is reached. The strip lowers two part lists in place, one
+    good node per step; only the last row can empty."""
     comps = [list(b.comp1), list(b.comp2)]
-    residues = tuple(i for i, _ in _good_strip(comps, p))
-    return not any(comps), StripTrace(residues, _terminal(comps))
+    residues = []
+    while (found := _next_good(comps, p)) is not None:
+        i, (r, _, a) = found
+        parts = comps[a - 1]
+        parts[r - 1] -= 1
+        if not parts[r - 1]:
+            parts.pop()
+        residues.append(i)
+    terminal = Bipartition(Partition._of(comps[0]), Partition._of(comps[1]))
+    return not any(comps), StripTrace(tuple(residues), terminal)
 
 
 def is_regular(b: Bipartition, p: Params) -> bool:
@@ -149,41 +137,22 @@ def is_regular(b: Bipartition, p: Params) -> bool:
     return is_restricted(conjugate(b), p)[0]
 
 
-def _weight_one_diamond(xi: Bipartition, p: Params) -> Bipartition:
-    members = enumerate_block(block_key(xi, p)[0], p)
-    above = [m for m in members if m != xi and dominates(m, xi)]
-    if not above:
-        raise ValueError("not restricted: dominance-maximal in its block")
-    minimal = [m for m in above
-               if not any(c != m and dominates(m, c) for c in above)]
-    if len(minimal) != 1:
-        raise InvariantError(
-            f"diamond: {len(minimal)} minimal members of the weight-1 block "
-            f"of {xi} dominate it, not one")
-    return minimal[0]
-
-
 def mu_diamond(mu: Bipartition, p: Params) -> Bipartition:
-    """The regular partner of a restricted bipartition.
+    """The regular label of the simple module that the restricted
+    bipartition ``mu`` labels.
 
-    Strip good nodes down to weight at most one, replace the base by its
-    own partner (itself at weight 0, the minimal strictly dominating block
-    member at weight 1), then add anticogood nodes of the recorded
-    residues in reverse order.
+    The restricted and regular labellings realise one highest-weight
+    crystal, and the diamond is the crystal isomorphism between them that
+    fixes the empty bipartition: strip the good nodes of ``mu``, then add
+    the anticogood node of each stripped residue to the empty bipartition,
+    in reverse order. A bipartition that is not restricted is refused.
     """
-    comps = [list(mu.comp1), list(mu.comp2)]
-    strip = _good_strip(comps, p)
-    residues, wt = [], weight(mu, p)
-    while wt > 1:  # removing an i-node adds delta_i - 1 to the weight
-        i, delta = next(strip, (None, None))
-        if delta is None:
-            raise ValueError("not restricted: no normal nodes left")
-        wt += delta - 1
-        residues.append(i)
-    cur = _terminal(comps)
-    if wt == 1:
-        cur = _weight_one_diamond(cur, p)
-    for i in reversed(residues):
+    ok, trace = is_restricted(mu, p)
+    if not ok:
+        raise ValueError(f"not restricted: the good-node strip of {mu} "
+                         f"stops at {trace.terminal}")
+    cur = EMPTY_BIP
+    for i in reversed(trace.residues):
         rep = signature(cur, i, p)
         if rep.anticogood is None:
             raise InvariantError(

@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 
 from bipblocks.core import (
     Bipartition, InvariantError, Node, Params, Partition, RimHook,
-    _beta_set, bipartitions, canonical_sort, dominance_key, dominates,
+    _beta_set, add_node, bipartitions, canonical_sort, dominance_key,
+    dominates, remove_node,
 )
 from bipblocks.abacus import display, from_display, gamma_vector, transfer_bead
 from bipblocks.blocks import (
-    BlockKey, _apply_label, _reduce_display, _rows, _xy_sets,
-    swap_components,
+    BlockKey, _apply_label, _reduce_display, _rows, _xy_sets, block_key,
+    enumerate_block, swap_components, weight_trace,
 )
-from bipblocks.crystal import is_restricted
+from bipblocks.crystal import is_restricted, signature
 from bipblocks.js import _valuation_table
 
 
@@ -231,3 +232,37 @@ def labels_by_reduction(member: Bipartition, p: Params,
             labels.append((kind, args, swap_components(b) if swapped else b))
         out[swapped] = labels
     return out
+
+
+# The diamond by cases, the oracle of crystal.mu_diamond: strip good nodes
+# (smallest residue first) while the abacus weight is above one, replace a
+# weight-1 base by the one minimal block member that strictly dominates
+# it, then add the anticogood nodes of the stripped residues in reverse
+# order.
+
+def weight_one_diamond(xi: Bipartition, p: Params) -> Bipartition:
+    members = enumerate_block(block_key(xi, p)[0], p)
+    above = [m for m in members if m != xi and dominates(m, xi)]
+    if not above:
+        raise ValueError("not restricted: dominance-maximal in its block")
+    minimal = [m for m in above
+               if not any(c != m and dominates(m, c) for c in above)]
+    if len(minimal) != 1:
+        raise InvariantError(
+            f"diamond: {len(minimal)} minimal members of the weight-1 block "
+            f"of {xi} dominate it, not one")
+    return minimal[0]
+
+
+def diamond_by_weight(mu: Bipartition, p: Params) -> Bipartition:
+    cur, residues = mu, []
+    while (wt := weight_trace(cur, p).total) > 1:
+        i, good = next((i, rep.good) for i in range(p.e)
+                       if (rep := signature(cur, i, p)).good is not None)
+        cur = remove_node(cur, good)
+        residues.append(i)
+    if wt == 1:
+        cur = weight_one_diamond(cur, p)
+    for i in reversed(residues):
+        cur = add_node(cur, signature(cur, i, p).anticogood)
+    return cur

@@ -407,8 +407,7 @@ class TestClassify:
         desc = classify_type(key_of(b, p), p)
         if desc.type_params is None:
             return
-        fam = family_from_type_params(desc.btype, p.e, desc.type_params,
-                                      p.charp)
+        fam = family_from_type_params(desc.btype, p.e, desc.type_params)
         oriented = p.swap() if desc.swapped else p
         assert fam.params.kappa == oriented.kappa
         members = {swap_components(m) for m in fam.members()} \

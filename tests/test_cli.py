@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -34,6 +35,8 @@ H5DOC = '{"e":2,"kappa":[1,1],"charp":0,"comp1":[],"comp2":[2,1,1,1]}'
 # the README's js val pair, dominant first
 JS_A = '{"e":6,"kappa":[5,4],"charp":0,"comp1":[2,1,1,1,1],"comp2":[4]}'
 JS_B = '{"comp1":[2],"comp2":[4,2,1,1]}'
+# the first 16 hex digits of the SHA-256 of `verify --all --format json`
+VERIFY_ALL_JSON = "b6facfb7048068a2"
 
 ints = st.integers(-50, 50)
 int_tuples = st.lists(ints, max_size=6).map(tuple)
@@ -182,13 +185,15 @@ class TestSerialization:
         ("zSet", None, "missing field zSet"),
         ("swapped", None, "missing field swapped"),
         ("n", None, "missing field block.n"),
+        ("n", "10", "field block.n must be an integer"),
         ("type", 5, "field type must be one of I, II, III, IV, other"),
         ("type", None, "field type must be one of I, II, III, IV, other"),
         ("type", "V", "field type must be one of I, II, III, IV, other"),
     ], ids=["weight-float", "weight-bool", "delta-float", "delta-string",
             "isCore-string", "isCore-int", "swapped-null", "zSet-string",
             "typeParams-float", "no-delta", "no-isCore", "no-zSet",
-            "no-swapped", "no-n", "type-int", "type-null", "type-unknown"])
+            "no-swapped", "no-n", "n-string", "type-int", "type-null",
+            "type-unknown"])
     def test_checked_descriptor_fields(self, field, value, message):
         doc = json.loads(DESC)
         target = doc["block"] if field == "n" else doc
@@ -252,6 +257,17 @@ class TestVerifier:
         assert all(d["overall"] is True for d in docs)
 
 
+    def test_verify_all_enumerates_nothing(self, monkeypatch):
+        # every family is built from its window, and every partner is
+        # found without searching a block
+        def refuse(key, p):
+            raise AssertionError(f"enumerated the block {key}")
+        monkeypatch.setattr(blocks, "_members", refuse)
+        text = "".join(serialize(rep) for rep in cli.verify_all())
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert digest == VERIFY_ALL_JSON
+
+
 class TestCommands:
     def test_bip_info(self):
         res = run("bip", "info", "--bip", DOC)
@@ -311,6 +327,27 @@ class TestCommands:
             'error: (2,1,1,1,1|4) and (10|-) lie in different blocks: '
             '{"n": 10, "content": [2, 2, 1, 1, 2, 2]} and '
             '{"n": 10, "content": [2, 2, 2, 1, 1, 2]}\n')
+
+    # a second document whose e and kappa differ from the first's
+    JS_B_ELSEWHERE = '{"e":5,"kappa":[1,1],"comp1":[2],"comp2":[4,2,1,1]}'
+
+    @pytest.mark.parametrize("second, message", [
+        (JS_B_ELSEWHERE, "the documents disagree on e: 6 and 5"),
+        ('{"e":6,"kappa":[1,1],"comp1":[2],"comp2":[4,2,1,1]}',
+         "the documents disagree on kappa: [5, 4] and [1, 1]"),
+        ('{"charp":5,"comp1":[2],"comp2":[4,2,1,1]}',
+         "the documents disagree on charp: 0 and 5"),
+    ], ids=["e", "kappa", "charp"])
+    def test_js_val_documents_disagree(self, second, message):
+        res = run("js", "val", "--bip", JS_A, "--bip", second)
+        assert res.exit_code == 2
+        assert message in res.output
+
+    def test_js_val_flags_override_both_documents(self):
+        res = run("js", "val", "--bip", JS_A, "--bip", self.JS_B_ELSEWHERE,
+                  "--e", "6", "--kappa", "5,4")
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output) == {"valuation": -1, "pairs": 1}
 
     def test_js_val_keeps_dominance_error(self):
         res = run("js", "val", "--bip", JS_A, "--bip", JS_A)
@@ -452,6 +489,15 @@ class TestCommands:
         res = run(*command, "--block", doc)
         assert res.exit_code == 1
         assert res.output == f"error: {self.KEY_ERRORS[content]}\n"
+
+    # a top-level key names its fields without the nested "block." prefix
+    @pytest.mark.parametrize("fields, missing", [
+        ('"n":10', "content"), ('"content":[2,3,3,2]', "n")])
+    def test_top_level_key_missing_field(self, fields, missing):
+        doc = f'{{"e":4,"kappa":[0,3],"charp":0,{fields}}}'
+        res = run("block", "enumerate", "--block", doc)
+        assert res.exit_code == 1
+        assert res.output == f"error: missing field {missing}\n"
 
     @pytest.mark.parametrize("command, flag", [(["bip", "info"], "--bip"),
                                                (["block", "info"], "--block"),
@@ -933,3 +979,20 @@ def test_benchmark_bindings_are_traced():
     assert signatures > 0
     # the clamped cells of the IV-e2-H5 matrix, read off the solve's flags
     assert clamped == 6
+
+
+@pytest.mark.parametrize("claim", ["catalogue", "catalogue:wall",
+                                   "nosuch:wall_s"])
+def test_bench_entry_checks_claim(tmp_path, claim):
+    """A claim names a workload and an end-to-end metric of
+    BENCHMARK.json; anything else is a usage error before any results are
+    read (the checkouts here hold none)."""
+    root = Path(__file__).resolve().parents[1]
+    res = subprocess.run(
+        [sys.executable, str(root / "tools" / "bench_entry.py"),
+         "--parent", str(tmp_path), "--change", str(tmp_path),
+         "--claim", claim],
+        capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2, res.stderr
+    assert "--claim takes WORKLOAD:METRIC" in res.stderr
+    assert "Traceback" not in res.stderr

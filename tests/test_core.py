@@ -28,8 +28,11 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((1, 2))
 
+    # the last four are parts int() would have truncated or reread
     @pytest.mark.parametrize("c1, c2", [((1, 2), ()), ((), (2, -1)),
-                                        ((2, 0, 1), ())])
+                                        ((2, 0, 1), ()), ((2.7, 1), ()),
+                                        (("3",), ()), ((True,), ()),
+                                        ((), (2, 1.0))])
     def test_bip_rejects_malformed_parts(self, c1, c2):
         with pytest.raises(ValueError):
             bip(c1, c2)

@@ -10,13 +10,15 @@ from bipblocks.core import (
     add_node, remove_node,
 )
 from bipblocks.blocks import block_key, enumerate_block, weight, \
-    weight_trace, family_from_type_params
+    family_from_type_params
 from bipblocks.crystal import (
     StripTrace, signature, is_restricted, is_regular, mu_diamond,
-    _next_good, _weight_one_diamond,
+    _next_good,
 )
+import helpers
 from helpers import (
-    small_bips, params_st, bips_of, is_checked, is_e_restricted,
+    small_bips, params_st, bips_of, diamond_by_weight, is_checked,
+    is_e_restricted, weight_one_diamond,
 )
 
 P31 = Params.make(3, (0, 1))
@@ -129,8 +131,22 @@ class TestDiamond:
         assert mu_diamond(b, P31) == b
 
     def test_not_restricted(self):
-        with pytest.raises(ValueError, match="not restricted"):
+        with pytest.raises(ValueError, match=r"^not restricted: the "
+                           r"good-node strip of \(3\|-\) stops at "
+                           r"\(3\|-\)$"):
             mu_diamond(bip((3,), ()), Params.make(2, (0, 0)))
+
+    def test_walk_calls_no_block_function(self, monkeypatch):
+        # a weight-3 and a weight-1 partner; the oracle reaches a weight-1
+        # base for both and searches its block
+        def refuse(*args):
+            raise AssertionError("crystal called into blocks")
+        for name in ("block_key", "enumerate_block", "weight", "dominates"):
+            monkeypatch.setattr(crystal, name, refuse)
+        p = Params.make(2, (1, 1))
+        assert mu_diamond(bip((), (2, 1, 1, 1)), p) == bip((4, 1), ())
+        assert mu_diamond(bip((), (1,)), p) == diamond_by_weight(
+            bip((), (1,)), p)
 
     def test_three_runner_case(self):
         # k = l = m: the distinguished member maps to a hook one step over
@@ -156,15 +172,16 @@ class TestDiamond:
             assert is_regular(mu_diamond(b, p), p)
 
     def test_weight_one_base_without_unique_cover(self, monkeypatch):
+        # the oracle's weight-1 step refuses a base with two minimal covers
         xi = bip((), (1,))
         p = Params.make(2, (0, 0))
-        monkeypatch.setattr(crystal, "enumerate_block", lambda key, q: [
+        monkeypatch.setattr(helpers, "enumerate_block", lambda key, q: [
             bip((2,), ()), bip((1, 1), ()), xi])
         # both others dominate xi, and neither dominates the other
-        monkeypatch.setattr(crystal, "dominates", lambda a, b: b == xi)
+        monkeypatch.setattr(helpers, "dominates", lambda a, b: b == xi)
         with pytest.raises(InvariantError, match=r"diamond: 2 minimal "
                            r"members of the weight-1 block of \(-\|1\)"):
-            _weight_one_diamond(xi, p)
+            weight_one_diamond(xi, p)
 
     def test_missing_anticogood_node(self, monkeypatch):
         real = crystal.signature
@@ -238,12 +255,7 @@ class TestOneScanOracle:
                             good = (i, rep.good)
                         if anti is None and rep.antigood is not None:
                             anti = rep.antigood
-                    found = _next_good(b, p)
-                    assert (found and found[:2]) == good, (b, p)
-                    if found:
-                        raw = reps[found[0]].raw_string
-                        assert found[2] == (raw.count("-")
-                                            - raw.count("+")), (b, p)
+                    assert _next_good(b, p) == good, (b, p)
                     regular[b] = (b == EMPTY_BIP if anti is None
                                   else regular[remove_node(b, anti)])
                     assert is_regular(b, p) == regular[b], (b, p)
@@ -259,22 +271,6 @@ class TestOneScanOracle:
                         (b, p)
 
 
-def diamond_oracle(mu, p):
-    """mu_diamond by its definition: the abacus weight at every step, and
-    the good node of the smallest residue removed through remove_node."""
-    cur, residues = mu, []
-    while (wt := weight_trace(cur, p).total) > 1:
-        i, good = next((i, rep.good) for i in range(p.e)
-                       if (rep := signature(cur, i, p)).good is not None)
-        cur = remove_node(cur, good)
-        residues.append(i)
-    if wt == 1:
-        cur = _weight_one_diamond(cur, p)
-    for i in reversed(residues):
-        cur = add_node(cur, signature(cur, i, p).anticogood)
-    return cur
-
-
 class TestDiamondOracle:
     @pytest.mark.parametrize("e", [2, 3, 4])
     def test_every_small_restricted_bipartition(self, e):
@@ -284,5 +280,5 @@ class TestDiamondOracle:
                 for b in bips_of(n):
                     if is_restricted(b, p)[0]:
                         partner = mu_diamond(b, p)
-                        assert partner == diamond_oracle(b, p), (b, p)
+                        assert partner == diamond_by_weight(b, p), (b, p)
                         assert is_checked(partner), (b, p)

@@ -165,13 +165,20 @@ def main() -> int:
         return 0
     if not (args.parent and args.change):
         ap.error("--parent and --change are required")
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    if args.claim:
+        workloads = [w["name"] for w in bench["workloads"]]
+        workload, _, metric = args.claim.partition(":")
+        if workload not in workloads or metric not in bounds:
+            ap.error(f"--claim takes WORKLOAD:METRIC with WORKLOAD one of "
+                     f"{', '.join(workloads)} and METRIC one of "
+                     f"{', '.join(bounds)}")
 
     sys.path.insert(0, PERFBENCH)
     from ledger import build_entry
 
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        bench = json.load(fh)
-    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     parent, change = _results(args.parent), _results(args.change)
     entries = {"parent": build_entry("parent", parent),
                "change": build_entry("change", change)}
@@ -182,7 +189,6 @@ def main() -> int:
            "run_seconds": bench["run_seconds"],
            "pairs": pairs}
     if args.claim:
-        workload, metric = args.claim.split(":")
         doc["claim"] = {"workload": workload, "metric": metric,
                         "met": _claim_met(pairs, workload, metric)}
     doc["ladder"] = _ladder({"parent": args.parent, "change": args.change})
