@@ -1,10 +1,12 @@
 """Partitions, bipartitions, Young diagrams, residues, dominance and rim hooks.
 
-Everything here is an immutable value; all functions are pure.
+Everything here is an immutable value. All functions are pure, except
+``remove_cell``, which edits the part lists and corner entries it is given.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import ge
@@ -181,7 +183,9 @@ def corners(comps, p: Params) -> list[tuple[int, int, int, int, str]]:
     """Every addable ("+") and removable ("-") cell of two part sequences
     (a bipartition or two lists), in reading order (component, then row):
     (component, row, col, residue, sign). Row r - 1 has a removable cell
-    exactly when it is longer than row r, and then row r has an addable one."""
+    exactly when it is longer than row r, and then row r has an addable one.
+    The two cells of one row differ in residue, so the entries of one
+    residue sort in reading order as tuples."""
     out = []
     for a, (parts, k) in enumerate(zip(comps, p.kappa), start=1):
         above = None  # the part of row r - 1
@@ -193,6 +197,42 @@ def corners(comps, p: Params) -> list[tuple[int, int, int, int, str]]:
                 out.append((a, r, x + 1, (k + x + 1 - r) % p.e, "+"))
             above = x
     return out
+
+
+def remove_cell(comps, signs, a: int, r: int, c: int, p: Params) -> None:
+    """Remove the cell (r, c) that ends row r of component a from two part
+    lists, in place, and edit ``signs``, the ``corners`` entries of comps
+    grouped by residue, to the entries of the smaller lists. With i the
+    cell's residue, one entry in each of the residues i, i + 1 and i - 1
+    changes:
+
+    - residue i: the removable cell (r, c) becomes the addable cell (r, c);
+    - residue i + 1: the addable cell (r, c + 1) goes if r = 1 or row
+      r - 1 is longer than c; otherwise row r - 1 ends in a removable cell
+      (r - 1, c);
+    - residue i - 1: the addable cell (r + 1, c) goes if row r + 1 has
+      c - 1 cells; otherwise the removable cell (r, c - 1) comes in.
+
+    The rows around row r keep their parts, so nothing else changes. An
+    entry is found by bisection on its (component, row)."""
+    parts, e = comps[a - 1], p.e
+    i = (p.kappa[a - 1] + c - r) % e
+    sig = signs[i]
+    sig[bisect_left(sig, (a, r))] = (a, r, c, i, "+")
+    up, down = (i + 1) % e, (i - 1) % e
+    sig = signs[up]
+    if r == 1 or parts[r - 2] > c:
+        del sig[bisect_left(sig, (a, r))]
+    else:
+        insort(sig, (a, r - 1, c, up, "-"))
+    sig = signs[down]
+    if (parts[r] if r < len(parts) else 0) == c - 1:
+        del sig[bisect_left(sig, (a, r + 1))]
+    else:
+        insort(sig, (a, r, c - 1, down, "-"))
+    parts[r - 1] -= 1
+    if not parts[r - 1]:
+        parts.pop()
 
 
 def boundary_nodes(b: Bipartition, p: Params):

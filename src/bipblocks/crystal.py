@@ -9,6 +9,14 @@ between the two.
 Conjugation reverses the reading order, so the antigood nodes of b are the
 good nodes of its conjugate: b is regular exactly when conjugate(b) is
 restricted under the same parameters.
+
+The good-node strip reads the raw signatures of every residue from one
+``core.corners`` scan and keeps them from step to step: removing an i-node
+edits one entry in each of the residues i - 1, i and i + 1
+(``core.remove_cell``), and only those three are cancelled again. The
+reading order and the residues of the cells stay in ``core``; this module
+does the cancellation. ``signature`` scans afresh for the full report of
+one residue, which the diamond's walk back and the tests read.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import Optional
 
 from .core import (
     EMPTY_BIP, Bipartition, InvariantError, Node, Params, Partition,
-    add_node, conjugate, corners,
+    add_node, conjugate, corners, remove_cell,
 )
 # Bound but not called: perfbench/spans.py::instrument wraps these names in
 # this module, and test_benchmark_bindings_are_traced fails if one is gone.
@@ -69,17 +77,18 @@ def _cancel(raw, first: str, second: str):
 
 
 def _raw_signatures(comps, p: Params) -> list[list[tuple]]:
-    """The raw i-signature of every residue i, from one corner scan:
-    (row, col, component, sign) per i-node, in reading order."""
+    """The raw i-signature of every residue i, from one corner scan: the
+    ``corners`` entries of residue i, in reading order."""
     raw = [[] for _ in range(p.e)]
-    for a, r, c, i, sign in corners(comps, p):
-        raw[i].append((r, c, a, sign))
+    for entry in corners(comps, p):
+        raw[entry[3]].append(entry)
     return raw
 
 
 def signature(b: Bipartition, i: int, p: Params) -> SignatureReport:
     i %= p.e
-    raw = tuple((Node(r, c, a), s) for r, c, a, s in _raw_signatures(b, p)[i])
+    raw = tuple((Node(r, c, a), s)
+                for a, r, c, _, s in _raw_signatures(b, p)[i])
     reduced = _cancel(raw, "-", "+")
     antireduced = _cancel(raw, "+", "-")
     normal = tuple(nd for nd, s in reduced if s == "-")
@@ -96,36 +105,41 @@ def signature(b: Bipartition, i: int, p: Params) -> SignatureReport:
         anticogood=anticonormal[0] if anticonormal else None)
 
 
-def _next_good(comps, p: Params):
-    """(residue, (row, col, component)) of the good node of the smallest
-    residue that has one, from one corner scan. Per residue a stack keeps
-    the uncancelled removable nodes: an addable node cancels the latest
-    one, which is the repeated "-+" cancellation, and the good node is the
-    first one left."""
-    minus = [[] for _ in range(p.e)]
-    for a, r, c, i, sign in corners(comps, p):
-        if sign == "-":
-            minus[i].append((r, c, a))
-        elif minus[i]:
-            minus[i].pop()
-    for i, left in enumerate(minus):
-        if left:
-            return i, left[0]
-    return None
+def _good(raw):
+    """The good node of a raw signature: the first "-" entry left after
+    "-+" cancellation. A stack keeps the uncancelled "-" entries; each "+"
+    entry cancels the latest one."""
+    left = []
+    for entry in raw:
+        if entry[4] == "-":
+            left.append(entry)
+        elif left:
+            left.pop()
+    return left[0] if left else None
 
 
 def is_restricted(b: Bipartition, p: Params) -> tuple[bool, StripTrace]:
     """Strip good nodes as long as any exist; restricted means the empty
-    bipartition is reached. The strip lowers two part lists in place, one
-    good node per step; only the last row can empty."""
+    bipartition is reached. Each step removes the good node of the
+    smallest residue that has one.
+
+    One corner scan reads the raw signatures, and the strip keeps them.
+    Removing an i-node changes one entry in each of the residues i - 1, i
+    and i + 1, which ``core.remove_cell`` edits, so a step cancels only
+    those three signatures again."""
     comps = [list(b.comp1), list(b.comp2)]
-    residues = []
-    while (found := _next_good(comps, p)) is not None:
-        i, (r, _, a) = found
-        parts = comps[a - 1]
-        parts[r - 1] -= 1
-        if not parts[r - 1]:
-            parts.pop()
+    raw = _raw_signatures(comps, p)
+    good = [_good(sig) for sig in raw]
+    e, residues = p.e, []
+    while True:
+        for i, node in enumerate(good):
+            if node:
+                break
+        else:
+            break
+        remove_cell(comps, raw, node[0], node[1], node[2], p)
+        for j in (i - 1, i, i + 1):
+            good[j % e] = _good(raw[j % e])
         residues.append(i)
     terminal = Bipartition(Partition._of(comps[0]), Partition._of(comps[1]))
     return not any(comps), StripTrace(tuple(residues), terminal)

@@ -5,7 +5,7 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from bipblocks.core import (
-    Bipartition, InvariantError, Node, Params, Partition, RimHook,
+    EMPTY_BIP, Bipartition, InvariantError, Node, Params, Partition, RimHook,
     _beta_set, add_node, bipartitions, canonical_sort, dominance_key,
     dominates, remove_node,
 )
@@ -14,7 +14,7 @@ from bipblocks.blocks import (
     BlockKey, _apply_label, _reduce_display, _rows, _xy_sets, block_key,
     enumerate_block, swap_components, weight_trace,
 )
-from bipblocks.crystal import is_restricted, signature
+from bipblocks.crystal import StripTrace, is_restricted, signature
 from bipblocks.js import _valuation_table
 
 
@@ -266,3 +266,16 @@ def diamond_by_weight(mu: Bipartition, p: Params) -> Bipartition:
     for i in reversed(residues):
         cur = add_node(cur, signature(cur, i, p).anticogood)
     return cur
+
+
+# The good-node strip with a full signature of every residue at every step,
+# the oracle of the kept signatures of crystal.is_restricted.
+
+def strip_by_signatures(b: Bipartition, p: Params):
+    residues = []
+    while (step := next(((i, rep.good) for i in range(p.e)
+                         if (rep := signature(b, i, p)).good is not None),
+                        None)) is not None:
+        b = remove_node(b, step[1])
+        residues.append(step[0])
+    return b == EMPTY_BIP, StripTrace(tuple(residues), b)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from bipblocks.core import (
     Params, Partition, Bipartition, Node, bip, EMPTY_BIP,
     residue, conjugate, dominates, dominance_key,
-    boundary_nodes, corners, rim_hooks,
+    boundary_nodes, corners, remove_cell, rim_hooks,
     partitions, bipartitions,
     add_node, remove_node, canonical_sort,
 )
@@ -215,6 +215,55 @@ class TestCornersOracle:
                             for nd, r, sign in marks]
                     assert corners(b, p) == want, (b, p)
                     assert corners([list(b.comp1), list(b.comp2)], p) == want
+
+
+def by_residue(scan, e):
+    signs = [[] for _ in range(e)]
+    for entry in scan:
+        signs[entry[3]].append(entry)
+    return signs
+
+
+class TestRemoveCellOracle:
+    """The corner rule of one cell against a rescan, for every removable
+    cell and, as the removal from the larger bipartition, every addable
+    cell."""
+
+    def test_row_partition(self):
+        # removing (1, 2) of (2|-): the removable cell turns addable, the
+        # addable (1, 3) goes, and the removable (1, 1) comes in
+        p = Params.make(3, (0, 1))
+        comps = [[2], []]
+        signs = by_residue(corners(comps, p), 3)
+        remove_cell(comps, signs, 1, 1, 2, p)
+        assert comps == [[1], []]
+        assert signs == [[(1, 1, 1, 0, "-")],
+                         [(1, 1, 2, 1, "+"), (2, 1, 1, 1, "+")],
+                         [(1, 2, 1, 2, "+")]]
+
+    @pytest.mark.parametrize("e", [2, 3, 4, 5])
+    def test_every_small_bipartition(self, e):
+        def check(big, nd):
+            comps = [list(big.comp1), list(big.comp2)]
+            signs = by_residue(scans[big], e)
+            remove_cell(comps, signs, nd.component, nd.row, nd.col, p)
+            small = remove_node(big, nd)
+            assert comps == [list(small.comp1), list(small.comp2)]
+            assert signs == by_residue(scans[small], e), (big, nd, p)
+
+        for kappa in product(range(e), repeat=2):
+            p = Params.make(e, kappa)
+            scans = {b: corners(b, p) for n in range(10) for b in bips_of(n)}
+            for b, scan in scans.items():
+                # the entries of one residue sort in reading order
+                for sig in by_residue(scan, e):
+                    assert sig == sorted(sig), (b, p)
+            for n in range(9):
+                for b in bips_of(n):
+                    for nd in removable_nodes(b):
+                        check(b, nd)
+                    for nd in addable_nodes(b):
+                        check(add_node(b, nd), nd)
 
 
 class TestRimHooks:

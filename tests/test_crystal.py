@@ -13,12 +13,11 @@ from bipblocks.blocks import block_key, enumerate_block, weight, \
     family_from_type_params
 from bipblocks.crystal import (
     StripTrace, signature, is_restricted, is_regular, mu_diamond,
-    _next_good,
 )
 import helpers
 from helpers import (
     small_bips, params_st, bips_of, diamond_by_weight, is_checked,
-    is_e_restricted, weight_one_diamond,
+    is_e_restricted, strip_by_signatures, weight_one_diamond,
 )
 
 P31 = Params.make(3, (0, 1))
@@ -238,7 +237,8 @@ class TestCrystalOracles:
 
 
 class TestOneScanOracle:
-    """The one-walk good search and both strips against full signatures."""
+    """The strips on kept signatures against full signatures at every
+    step."""
 
     @pytest.mark.parametrize("e", [2, 3, 4, 5])
     def test_every_small_bipartition(self, e):
@@ -255,7 +255,6 @@ class TestOneScanOracle:
                             good = (i, rep.good)
                         if anti is None and rep.antigood is not None:
                             anti = rep.antigood
-                    assert _next_good(b, p) == good, (b, p)
                     regular[b] = (b == EMPTY_BIP if anti is None
                                   else regular[remove_node(b, anti)])
                     assert is_regular(b, p) == regular[b], (b, p)
@@ -269,6 +268,47 @@ class TestOneScanOracle:
                     got = is_restricted(b, p)
                     assert got == want and is_checked(got[1].terminal), \
                         (b, p)
+
+
+def tall_shapes():
+    """Columns, hooks and staircases of up to 60 cells, in either
+    component and side by side."""
+    cols = [(1,) * n for n in (1, 2, 3, 5, 8, 13, 21, 34, 60)]
+    hooks = [(n - leg,) + (1,) * leg for n in (12, 30, 60)
+             for leg in range(0, n, 5)]
+    stairs = [tuple(range(k, 0, -1)) for k in range(1, 11)]
+    shapes = cols + hooks + stairs
+    yield from (bip(q, ()) for q in shapes)
+    yield from (bip((), q) for q in shapes)
+    yield from (bip(q, s) for q, s in zip(shapes, reversed(shapes)))
+
+
+class TestKeptSignatures:
+    def test_one_scan_per_call(self, monkeypatch):
+        scans = []
+        real = crystal.corners
+
+        def counted(comps, p):
+            scans.append(tuple(map(tuple, comps)))
+            return real(comps, p)
+        monkeypatch.setattr(crystal, "corners", counted)
+        p = Params.make(4, (0, 3))
+        column = bip((), (1,) * 4000)
+        for b in (EMPTY_BIP, bip((3, 2, 1), (2, 2)), column):
+            scans.clear()
+            is_restricted(b, p)
+            assert scans == [b]
+        scans.clear()
+        assert is_regular(bip((4000,), ()), p)
+        assert scans == [conjugate(bip((4000,), ()))]
+
+    @pytest.mark.parametrize("e", [2, 3, 4, 5])
+    def test_tall_shapes(self, e):
+        for k in range(e):
+            p = Params.make(e, (0, k))
+            for b in tall_shapes():
+                assert is_restricted(b, p) == strip_by_signatures(b, p), \
+                    (b, p)
 
 
 class TestDiamondOracle:
