@@ -1,11 +1,11 @@
 """Block identity, weights, nuclei and member labelling.
 
-A block is identified by its size and residue content, and its members are
-built from that content row by row. Its weight is a closed form in that
-content; the three-phase abacus reduction of any member gives the same
-total and a trace of the moves. Odd-weight non-core blocks have a
-weight-0 nucleus (for a shifted bicharge) from which every member is
-rebuilt by prescribed bead moves; those moves are the member labels.
+A block is its size and residue content; its members are built from that
+content row by row, and its weight and delta are closed forms in it. The
+three-phase abacus reduction of any member gives the same weight and a
+trace of the moves. Odd-weight non-core blocks have a weight-0 nucleus
+(for a shifted bicharge) from which every member is rebuilt by prescribed
+bead moves; those moves are the member labels.
 """
 
 from __future__ import annotations
@@ -42,14 +42,17 @@ def content_counts(b: Bipartition, p: Params) -> tuple[int, ...]:
 
 def delta_vector(b: Bipartition, p: Params) -> tuple[int, ...]:
     """Per residue: removable nodes minus addable nodes."""
-    out = [0] * p.e
-    for _, _, _, i, sign in corners(b, p):
-        out[i] += 1 if sign == "-" else -1
-    return tuple(out)
+    return block_key(b, p)[1]
 
 
 def block_key(b: Bipartition, p: Params) -> tuple[BlockKey, tuple[int, ...]]:
-    return BlockKey(b.size, content_counts(b, p)), delta_vector(b, p)
+    """The key and delta from one residue count c: delta_i, removable minus
+    addable i-nodes, is 2c_i - c_{i-1} - c_{i+1} - #{j : kappa_j = i}, minus
+    h_i paired with the weight Lambda_kappa_1 + Lambda_kappa_2 - sum_j c_j
+    alpha_j of b in the level-2 Fock space (Lascoux-Leclerc-Thibon 1996)."""
+    c = content_counts(b, p)
+    return BlockKey(b.size, c), tuple(2 * c[i] - c[i - 1] - c[(i + 1) % p.e]
+                                      - p.kappa.count(i) for i in range(p.e))
 
 
 @dataclass(frozen=True)

@@ -865,8 +865,7 @@ def js_refined_order(e, kappa, charp, bip_doc, block_doc, fmt):
     """Strict relations of the refined order on a block."""
     key, p = _resolve_block(bip_doc, block_doc, e, kappa, charp)
     order = order_from_members(enumerate_block(key, p), p)
-    idx = {m: n for n, m in enumerate(order.members)}
-    rel = sorted((idx[a], idx[b]) for a, b in order.strict)
+    rel = sorted(order.strict)
     _emit(fmt, {"members": [_bip_doc(m) for m in order.members],
                 "relations": [list(r) for r in rel]},
           lambda: "".join(f"{order.members[a]} > {order.members[b]}\n"

@@ -64,13 +64,10 @@ class Partition(tuple):
             raise ValueError("parts must be integers")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError("parts must be weakly decreasing")
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValueError("parts must be weakly decreasing")
         if parts and parts[-1] < 0:
             raise ValueError("parts must be non-negative")
-        if any(p == 0 for p in parts):
-            raise ValueError("zero parts only allowed at the end")
         return super().__new__(cls, parts)
 
     @classmethod

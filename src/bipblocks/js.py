@@ -138,13 +138,15 @@ def _valuation_table(members, keys, p: Params) -> dict:
 
 @dataclass(frozen=True)
 class JSOrder:
-    """Reflexive-transitive closure of valuation-weighted dominance steps."""
+    """Reflexive-transitive closure of valuation-weighted dominance steps,
+    over member indices: (i, j) when members[i] lies above members[j]."""
 
     members: tuple[Bipartition, ...]
-    strict: frozenset[tuple[Bipartition, Bipartition]]
+    strict: frozenset[tuple[int, int]]
 
     def dominates(self, a: Bipartition, b: Bipartition) -> bool:
-        return a == b or (a, b) in self.strict
+        at = {m: i for i, m in enumerate(self.members)}
+        return a == b or (at.get(a), at.get(b)) in self.strict
 
 
 def order_from_members(members, p: Params) -> JSOrder:
@@ -158,9 +160,8 @@ def order_from_members(members, p: Params) -> JSOrder:
                 f"refined order: the step {members[i]} -> {members[j]} runs "
                 "against the canonical order and could close a cycle")
         below[i] |= {j} | below[j]
-    strict = frozenset((members[i], members[j])
-                       for i, reach in enumerate(below) for j in reach)
-    return JSOrder(members, strict)
+    return JSOrder(members, frozenset((i, j) for i, reach in enumerate(below)
+                                      for j in reach))
 
 
 def _flag(j: int) -> str:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from bipblocks.core import (
     EMPTY_BIP, Bipartition, InvariantError, Node, Params, Partition, RimHook,
-    _beta_set, add_node, bipartitions, canonical_sort, dominance_key,
+    _beta_set, add_node, bipartitions, canonical_sort, corners, dominance_key,
     dominates, remove_node,
 )
 from bipblocks.abacus import display, from_display, gamma_vector, transfer_bead
@@ -86,6 +86,16 @@ def removable_nodes(b: Bipartition) -> list[Node]:
             if part.row(r) > part.row(r + 1):
                 out.append(Node(r, part.row(r), a))
     return out
+
+
+# The boundary count that blocks.block_key replaced by the content
+# identity, kept as its oracle: removable minus addable nodes per residue.
+
+def delta_by_corners(b: Bipartition, p: Params) -> tuple[int, ...]:
+    out = [0] * p.e
+    for _, _, _, i, sign in corners(b, p):
+        out[i] += 1 if sign == "-" else -1
+    return tuple(out)
 
 
 # The row-wise dominance test that core.dominance_key replaced, kept as an

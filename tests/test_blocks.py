@@ -18,7 +18,7 @@ from bipblocks.blocks import (
 )
 from helpers import (
     small_bips, params_st, bips_of, is_checked, members_unpruned, diagram,
-    labels_by_reduction,
+    labels_by_reduction, delta_by_corners,
 )
 
 P43 = Params.make(4, (0, 3))
@@ -56,6 +56,28 @@ class TestBlockKey:
                 for nd in diagram(b):
                     counts[residue(nd, p)] += 1
                 assert content_counts(b, p) == tuple(counts), (b, p)
+
+    def test_delta_by_corners_oracle(self):
+        # the content identity against the boundary count: every
+        # bipartition with n <= 8, e = 2..6 and every kappa (39,060 pairs)
+        bips = [b for n in range(9) for b in bips_of(n)]
+        pairs = 0
+        for e in range(2, 7):
+            for kappa in product(range(e), repeat=2):
+                p = Params.make(e, kappa)
+                for b in bips:
+                    want = delta_by_corners(b, p)
+                    assert block_key(b, p)[1] == want, (b, p)
+                    assert delta_vector(b, p) == want, (b, p)
+                    pairs += 1
+        assert pairs == 39060
+
+    def test_no_boundary_scan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("block_key scanned the boundary")
+        monkeypatch.setattr(blocks, "corners", refuse)
+        key, delta = block_key(B32, P43)
+        assert key == BlockKey(10, (2, 3, 3, 2)) and delta == (-2, 1, 1, -2)
 
     def test_shared_key(self):
         a, b = B32, bip((3, 3, 1, 1), (1, 1))

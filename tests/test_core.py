@@ -23,6 +23,7 @@ from helpers import (
 class TestPartition:
     def test_strips_trailing_zeros(self):
         assert Partition((3, 2, 0, 0)) == (3, 2)
+        assert Partition((3, 0, 0)) == (3,)
 
     def test_rejects_increase(self):
         with pytest.raises(ValueError):
@@ -36,6 +37,14 @@ class TestPartition:
     def test_bip_rejects_malformed_parts(self, c1, c2):
         with pytest.raises(ValueError):
             bip(c1, c2)
+
+    @pytest.mark.parametrize("parts, message", [
+        ((2, 0, 1), "weakly decreasing"), ((1, 0, -1), "non-negative")])
+    def test_inner_zero_messages(self, parts, message):
+        # an inner zero is refused by the order or by the sign of the last
+        # part, since trailing zeros are stripped first
+        with pytest.raises(ValueError, match=message):
+            Partition(parts)
 
     def test_trusted_constructor_checks_nothing(self):
         # for parts the package has just built; outside input goes

@@ -9,7 +9,7 @@ from hypothesis import given
 from bipblocks import js
 from bipblocks.core import (
     InvariantError, Params, bip, dominates, EMPTY_BIP, canonical_sort,
-    dominance_key, rim_hooks,
+    dominance_key, ranked, rim_hooks,
 )
 from bipblocks.blocks import (
     block_key, content_counts, enumerate_block, family_from_type_params,
@@ -196,6 +196,41 @@ class TestOrder:
         assert not order.dominates(a, b)
         assert not order.dominates(b, a)
         assert not dominates(a, b) and not dominates(b, a)
+
+    @pytest.mark.parametrize("e", [2, 3, 4])
+    def test_reachability_over_table_steps(self, e):
+        # every pair of members of every block of weight <= 3, n <= 7,
+        # every kappa: the order is reachability over the table's steps,
+        # and a bipartition outside the block dominates only itself
+        for kappa in product(range(e), repeat=2):
+            p = Params.make(e, kappa)
+            for n in range(8):
+                by_key = defaultdict(list)
+                for b in bips_of(n):
+                    by_key[block_key(b, p)[0]].append(b)
+                for group in by_key.values():
+                    if weight(group[0], p) > 3:
+                        continue
+                    members, keys = ranked(group)
+                    steps = defaultdict(set)
+                    for i, j in _valuation_table(members, keys, p):
+                        steps[i].add(j)
+                    order = order_from_members(group, p)
+                    assert order.members == members
+                    for i, a in enumerate(members):
+                        reach, todo = {i}, [i]
+                        while todo:
+                            new = steps[todo.pop()] - reach
+                            reach |= new
+                            todo.extend(new)
+                        for j, b in enumerate(members):
+                            assert order.dominates(a, b) == (j in reach)
+                    out = next((b for b in bips_of(n) if b not in group),
+                               bip((n + 1,), ()))
+                    assert order.dominates(out, out)
+                    assert not any(order.dominates(out, m)
+                                   or order.dominates(m, out)
+                                   for m in members)
 
     def test_refines_into_dominance(self):
         p = Params.make(3, (0, 1))
