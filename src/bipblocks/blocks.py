@@ -179,7 +179,6 @@ class BlockFamily:
     swapped: bool
     xi: Bipartition
     z_set: frozenset[int]
-    weight: int
     labels: tuple[MemberLabel, ...]
 
     def bip_of(self, kind: str, args) -> Bipartition:
@@ -271,15 +270,11 @@ def _extract_type_params(xi: Bipartition, p: Params, btype: str):
     return None
 
 
-def _z_from_params(btype: str, params: tuple[int, ...], e: int) -> frozenset[int]:
-    if btype == "II":
-        i, j, k, l = params
-        ranges = [(i, j), (k + 1, l)]
-    else:
-        i, j, k, l, m = params
-        ranges = [(i + _OFFSET[btype], j), (k + 1, l), (m + 1, e + i - 1)]
+def _z_from_params(off: int, window: tuple[int, ...], e: int) -> frozenset[int]:
+    """Z of (i, j, k, l, m): [i+off, j], [k+1, l], [m+1, e+i-1], mod e."""
+    i, j, k, l, m = window
     out = set()
-    for lo, hi in ranges:
+    for lo, hi in ((i + off, j), (k + 1, l), (m + 1, e + i - 1)):
         out.update(t % e for t in range(lo, hi + 1))
     return frozenset(out)
 
@@ -425,7 +420,7 @@ def _family(p: Params, swapped: bool, xi: Bipartition, z_set,
         raise InvariantError(
             f"member labels: two labels of the nucleus {xi} build the "
             f"same bipartition")
-    return BlockFamily(p, swapped, xi, frozenset(z_set), wt, tuple(labels))
+    return BlockFamily(p, swapped, xi, frozenset(z_set), tuple(labels))
 
 
 def _analyze_member(member: Bipartition, p: Params) -> BlockDescriptor:
@@ -526,30 +521,30 @@ def family_from_type_params(btype: str, e: int,
     """
     if not 0 <= params[0] < e:
         raise ValueError(f"window {tuple(params)}: need 0 <= i < e = {e}")
+    off = _OFFSET.get(btype, 0)
     if btype == "II":
         i, j, k, l = params
         if not i <= j <= k <= l <= e + i - 2:
             raise ValueError("need i <= j <= k <= l <= e+i-2")
-        xi = Bipartition(_rect(j - i + 1, e + i - l - 1), Partition(()))
-        kappa = (j + l + 1 - i, k + 2)
+        # type II is type IV at m = e+i-1: the second rectangle has width
+        # 0, kappa_2 = k+m+3-i is k+2 mod e, and Z's last range is empty
+        m = e + i - 1
     elif btype in _OFFSET:
-        off = _OFFSET[btype]
         i, j, k, l, m = params
         if not i + off <= j <= k <= l <= m <= e + i - 2:
             raise ValueError(
                 f"need i{'+1' * off} <= j <= k <= l <= m <= e+i-2")
-        xi = Bipartition(_rect(j - i + 1 - off, e + i - l - 1 + off),
-                         _rect(k - i + 1, e + i - m - 1))
-        kappa = (j + l - i + 1 - off, k + m + 3 - i)
     else:
         raise ValueError("type must be II, III or IV")
-    p = Params.make(e, kappa)
+    xi = Bipartition(_rect(j - i + 1 - off, e + i - l - 1 + off),
+                     _rect(k - i + 1, e + i - m - 1))
+    p = Params.make(e, (j + l - i + 1 - off, k + m + 3 - i))
     extracted = _extract_type_params(xi, p, btype)
     if extracted != tuple(params):
         raise InvariantError(
             f"type parameters: the nucleus {xi} of the {btype} window "
             f"{tuple(params)} reads back as {extracted}")
-    z_set = _z_from_params(btype, tuple(params), e)
+    z_set = _z_from_params(off, (i, j, k, l, m), e)
     if len(z_set) < 2:
         raise ValueError("parameters describe a block of weight below 3")
     return _family(p, False, xi, z_set, 3)

@@ -347,14 +347,17 @@ def verify_case(spec: CaseSpec, e: Optional[int] = None,
     fam = family_from_type_params(spec.block_type, e, window)
     ns["z"] = len(fam.z_set)
 
-    def member(name, args):
+    def member(name, expr):
+        """(args, member) per args tuple: expr gives one, or a list."""
+        args = _eval(expr, ns)
         try:
-            return fam.bip_of(name, args)
+            return [(tuple(a), fam.bip_of(name, a))
+                    for a in ([args] if isinstance(args, tuple) else args)]
         except KeyError as exc:
             raise ValueError(f"{spec.case_id} at e = {e}, window {window}: "
                              f"{exc.args[0]}") from None
 
-    mu = member(spec.mu[0], _eval(spec.mu[1], ns))
+    [(_, mu)] = member(*spec.mu)
     members = fam.members()
     matrix = matrix_from_members(members, fam.params)
     order = None
@@ -366,11 +369,9 @@ def verify_case(spec: CaseSpec, e: Optional[int] = None,
     for probe in spec.probes:
         kind, payload = probe.kind, probe.payload
         if kind == "restricted":
-            record("mu restricted", payload[0],
-                   is_restricted(mu, fam.params)[0])
+            record("mu restricted", payload[0], mu in matrix.cols)
         elif kind == "partner":
-            name, argexpr = payload
-            want = member(name, _eval(argexpr, ns))
+            [(_, want)] = member(*payload)
             got = mu_diamond(mu, fam.params)
             record("mu partner", _bip_doc(want), _bip_doc(got))
         elif kind == "member-count":
@@ -383,25 +384,21 @@ def verify_case(spec: CaseSpec, e: Optional[int] = None,
         elif kind in ("dn", "jbound"):
             name, argexpr, value = payload
             get = matrix.entry if kind == "dn" else matrix.jbound
-            # one args tuple, or a list of them the window may guard empty
-            args = _eval(argexpr, ns)
-            for a in [args] if isinstance(args, tuple) else args:
-                record(f"{kind}({name}{tuple(a)})", value,
-                       get(member(name, a), mu))
+            for a, lam in member(name, argexpr):
+                record(f"{kind}({name}{a})", value, get(lam, mu))
         elif kind == "tau":
             tau_expr, beta_name, beta_expr = payload
-            tau = member("hook", _eval(tau_expr, ns))
-            beta = member(beta_name, _eval(beta_expr, ns))
+            [(_, tau)] = member("hook", tau_expr)
+            [(_, beta)] = member(beta_name, beta_expr)
             record("J(tau) forces the chain top",
                    1 - matrix.entry(beta, mu), matrix.jbound(tau, mu))
         elif kind == "order":
             if order is None:
                 order = order_from_members(members, fam.params)
             (na, ea), (nb, eb), expect = payload
-            a = member(na, _eval(ea, ns))
-            b = member(nb, _eval(eb, ns))
-            record(f"order {na}{_eval(ea, ns)} above {nb}{_eval(eb, ns)}",
-                   expect, order.dominates(a, b))
+            [(aa, a)], [(ab, b)] = member(na, ea), member(nb, eb)
+            record(f"order {na}{aa} above {nb}{ab}", expect,
+                   order.dominates(a, b))
         else:
             raise ValueError(f"unknown probe kind {kind}")
     return VerifyReport(spec.case_id, tuple(checks),

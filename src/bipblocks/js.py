@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from operator import ge
 
@@ -44,12 +45,12 @@ def _hook_data(b: Bipartition) -> list[RimHook]:
 
 
 def _pair_valuation(L: RimHook, N: RimHook, p: Params) -> int:
+    """The valuation of a hook pair. Callers pair only hooks whose hands
+    share a residue, so hands in one component differ by a multiple of e."""
     hl, hn = L.hand, N.hand
     if L.component != N.component:
-        return 1 if residue(hl, p) == residue(hn, p) else 0
+        return 1
     offset = (hl.col - hl.row) - (hn.col - hn.row)
-    if offset % p.e != 0:
-        return 0
     k = abs(offset) // p.e
     if k == 0:
         raise InvariantError(
@@ -172,37 +173,37 @@ def _flag(j: int) -> str:
 class DecompMatrix:
     """A block's matrix, stored as its bound table: cell (r, c) has bound
     j, entry [j > 0] (a decomposition number of weight <= 3 is 0 or 1) and
-    flag "clamped" iff j >= 2, else "direct". Entries and flags are derived."""
+    flag "clamped" iff j >= 2, else "direct". Every other view is derived."""
 
     block: BlockKey
     rows: tuple[Bipartition, ...]  # all members, most dominant first
     cols: tuple[Bipartition, ...]  # the restricted members
     jbounds: tuple[tuple[int, ...], ...]
 
-    entries: tuple = field(init=False, repr=False, compare=False)
-    flags: tuple = field(init=False, repr=False, compare=False)
-    # position of each row and column, for O(1) cell lookups
-    _row_at: dict = field(init=False, repr=False, compare=False)
-    _col_at: dict = field(init=False, repr=False, compare=False)
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(int(j > 0) for j in r) for r in self.jbounds)
 
-    def __post_init__(self):
-        derived = {"entries": lambda j: int(j > 0), "flags": _flag}
-        for name, cell in derived.items():
-            object.__setattr__(self, name, tuple(tuple(map(cell, r))
-                                                 for r in self.jbounds))
-        object.__setattr__(self, "_row_at",
-                           {b: r for r, b in enumerate(self.rows)})
-        object.__setattr__(self, "_col_at",
-                           {b: c for c, b in enumerate(self.cols)})
+    @cached_property
+    def flags(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(tuple(map(_flag, r)) for r in self.jbounds)
 
-    def entry(self, lam: Bipartition, mu: Bipartition) -> int:
-        return self.entries[self._row_at[lam]][self._col_at[mu]]
+    @cached_property
+    def _row_at(self) -> dict:
+        return {b: r for r, b in enumerate(self.rows)}
+
+    @cached_property
+    def _col_at(self) -> dict:
+        return {b: c for c, b in enumerate(self.cols)}
 
     def jbound(self, lam: Bipartition, mu: Bipartition) -> int:
         return self.jbounds[self._row_at[lam]][self._col_at[mu]]
 
+    def entry(self, lam: Bipartition, mu: Bipartition) -> int:
+        return int(self.jbound(lam, mu) > 0)
+
     def flag(self, lam: Bipartition, mu: Bipartition) -> str:
-        return self.flags[self._row_at[lam]][self._col_at[mu]]
+        return _flag(self.jbound(lam, mu))
 
 
 def _solve_column(r: int, by_row, members, keys):

@@ -98,6 +98,19 @@ def delta_by_corners(b: Bipartition, p: Params) -> tuple[int, ...]:
     return tuple(out)
 
 
+# The type II branches that blocks.family_from_type_params and
+# blocks._z_from_params replaced by the type IV formulas at m = e+i-1, kept
+# as their oracle: the nucleus, kappa and Z-set of the window (i, j, k, l).
+
+def type_ii_by_own_formulas(e: int, window) -> tuple:
+    i, j, k, l = window
+    xi = Bipartition(Partition((e + i - l - 1,) * (j - i + 1)), Partition())
+    kappa = ((j + l + 1 - i) % e, (k + 2) % e)
+    z_set = frozenset(t % e for lo, hi in ((i, j), (k + 1, l))
+                      for t in range(lo, hi + 1))
+    return xi, kappa, z_set
+
+
 # The row-wise dominance test that core.dominance_key replaced, kept as an
 # oracle for core.dominates.
 

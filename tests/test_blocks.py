@@ -18,7 +18,7 @@ from bipblocks.blocks import (
 )
 from helpers import (
     small_bips, params_st, bips_of, is_checked, members_unpruned, diagram,
-    labels_by_reduction, delta_by_corners,
+    labels_by_reduction, delta_by_corners, type_ii_by_own_formulas,
 )
 
 P43 = Params.make(4, (0, 3))
@@ -333,6 +333,32 @@ class TestTypeFamilies:
         with pytest.raises(ValueError, match="i <= j <= k <= l"):
             family_from_type_params("II", 5, (0, 3, 2, 3))
 
+    def test_unknown_type(self):
+        with pytest.raises(ValueError, match="^type must be II, III or IV$"):
+            family_from_type_params("V", 5, (0, 1, 1, 2, 3))
+
+    def test_type_ii_is_type_iv_without_second_rectangle(self):
+        # the type IV nucleus, kappa and Z at m = e+i-1 give what type
+        # II's own formulas gave, on every window with e <= 6; a window
+        # with a one-runner Z is refused by both
+        built = 0
+        for e in range(2, 7):
+            for i in range(e):
+                for rest in product(range(i, e + i - 1), repeat=3):
+                    if list(rest) != sorted(rest):
+                        continue
+                    window = (i, *rest)
+                    xi, kappa, z_set = type_ii_by_own_formulas(e, window)
+                    if len(z_set) < 2:
+                        with pytest.raises(ValueError, match="below 3"):
+                            family_from_type_params("II", e, window)
+                        continue
+                    fam = family_from_type_params("II", e, window)
+                    assert (fam.xi, fam.params.kappa, fam.z_set) \
+                        == (xi, kappa, z_set), (e, window)
+                    built += 1
+        assert built == 294
+
     def test_h5_block(self):
         fam = family_from_type_params("IV", 2, (0, 0, 0, 0, 0))
         assert fam.params.kappa == (1, 1)
@@ -409,6 +435,13 @@ class TestClassify:
         desc = classify_type(key_of(b, p), p)
         if all(d <= 0 for d in delta_vector(b, p)):
             assert desc.btype == "I"
+
+    def test_even_weight_block_has_no_family(self):
+        p = Params.make(3, (0, 1))
+        assert weight(bip((3,), ()), p) == 2
+        with pytest.raises(ValueError, match="^no nucleus: block is core or "
+                           "of even weight$"):
+            block_family(key_of(bip((3,), ()), p), p)
 
     def test_h5_descriptor(self):
         p = Params.make(2, (1, 1))

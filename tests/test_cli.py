@@ -402,6 +402,17 @@ class TestCommands:
         assert verify_case(CASES["IV-5"]).overall
         assert len(calls) == 1
 
+    def test_verify_case_reads_restrictedness_off_the_solve(self,
+                                                            monkeypatch):
+        # the solve stripped every member for its columns: mu is not
+        # stripped again
+        def refuse(b, p):
+            raise AssertionError(f"stripped {b} again")
+        monkeypatch.setattr(cli, "is_restricted", refuse)
+        rep = verify_case(CASES["IV-5"])
+        assert rep.overall and rep.checks[0] == Check(
+            "mu restricted", True, True, True)
+
     def test_verify_case(self):
         res = run("verify", "--case", "IV-e2-H5")
         assert res.exit_code == 0
@@ -450,6 +461,60 @@ class TestCommands:
         res = run(*args)
         assert res.exit_code == 2
         assert message in res.output
+
+    def test_verify_failing_instantiation(self):
+        # a window with j = i+1, outside the stacked-column table
+        res = run("verify", "--case", "III-8", "--e", "4",
+                  "--params", "0,1,2,2,2")
+        assert res.exit_code == 1
+        assert res.output.startswith("III-8: FAIL\n")
+        assert "[FAIL]" in res.output
+
+    # Params.make refuses the parameters before any work
+    @pytest.mark.parametrize("flags, message", [
+        (["--e", "1"], "e must be at least 2"),
+        (["--charp", "4"], "charp must be 0 or prime"),
+        (["--e", "4", "--charp", "2"], "charp must not divide e"),
+    ])
+    def test_parameters_refused(self, flags, message):
+        res = run("bip", "info", "--bip", DOC, *flags)
+        assert res.exit_code == 1
+        assert res.output == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (["verify", "--case", "NOPE"], "unknown case NOPE"),
+        (["verify"], "supply --case, --all or --list"),
+        (["js", "val", "--bip", JS_A], "supply --bip twice, dominant first"),
+        (["bip", "info", "--bip", DOC, "--kappa", "1"],
+         "--kappa takes two comma-separated integers"),
+        (["bip", "info"], "this command needs --bip"),
+        (["bip", "info", "--bip", '{"comp1":[4],"comp2":[4,1,1]}'],
+         "supply --e and --kappa (or a document carrying them)"),
+    ])
+    def test_usage_errors(self, args, message):
+        res = run(*args)
+        assert res.exit_code == 2
+        assert res.output.endswith(f"Error: {message}\n")
+
+    @pytest.mark.parametrize("command, flag, doc", [
+        (["bip", "info"], "--bip", DOC),
+        (["block", "info"], "--block",
+         '{"e":4,"kappa":[0,3],"charp":0,"n":10,"content":[2,3,3,2]}'),
+    ])
+    def test_document_from_file(self, tmp_path, command, flag, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(doc, encoding="utf-8")
+        res = run(*command, flag, f"@{path}")
+        assert res.exit_code == 0
+        assert res.output == run(*command, flag, doc).output
+
+    @pytest.mark.parametrize("command", [
+        ["block", "info"], ["block", "enumerate"], ["block", "exceptional"],
+        ["js", "order"], ["decomp", "--no-cache"]])
+    def test_block_option_takes_a_bipartition(self, command):
+        res = run(*command, "--block", DOC)
+        assert res.exit_code == 0
+        assert res.output == run(*command, "--bip", DOC).output
 
     def test_verify_params_not_integers(self):
         res = run("verify", "--case", "III-8", "--params", "0,2,x,3,3")
