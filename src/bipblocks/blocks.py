@@ -305,12 +305,9 @@ def _rows(size: int, max_part: int, row: int, charge: int, counts: list,
         counts[(start + length) % e] += 1
 
 
-def _members(key: BlockKey, p: Params):
-    """The block's members, built from its content in ``bipartitions``
-    order: size of component 1 ascending, then ``partitions`` order in
-    each component. A malformed key raises ``ValueError`` on the first
-    step."""
-    counts = list(key.content)
+def _check_key(key: BlockKey, p: Params) -> None:
+    """Refuse a malformed key, with the message of its first fault."""
+    counts = key.content
     if len(counts) != p.e:
         raise ValueError(f"malformed block: content has {len(counts)} "
                          f"entries, not e = {p.e}")
@@ -319,6 +316,15 @@ def _members(key: BlockKey, p: Params):
     if sum(counts) != key.n:
         raise ValueError(f"malformed block: content sums to {sum(counts)}, "
                          f"not n = {key.n}")
+
+
+def _members(key: BlockKey, p: Params):
+    """The block's members, built from its content in ``bipartitions``
+    order: size of component 1 ascending, then ``partitions`` order in
+    each component. A malformed key raises ``ValueError`` on the first
+    step."""
+    _check_key(key, p)
+    counts = list(key.content)
     k1, k2 = p.kappa
     for m in range(key.n + 1):
         for c1 in _rows(m, m, 1, k1, counts, p.e):
@@ -340,9 +346,9 @@ def _member_of(key: BlockKey, p: Params) -> Bipartition:
 
 
 def block_weight(key: BlockKey, p: Params) -> int:
-    """Weight of the block, from its content once its first member shows
-    that it is not empty: no enumeration."""
-    _member_of(key, p)
+    """Weight of the block, from its content alone: no member is searched,
+    so an empty key gets the weight its content would have."""
+    _check_key(key, p)
     return _content_weight(key.content, p)
 
 

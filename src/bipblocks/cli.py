@@ -418,21 +418,25 @@ def _shared_probes(partner: Optional[tuple[str, str]]) -> tuple[Probe, ...]:
 
 
 def _stacked_column_probes() -> tuple[Probe, ...]:
-    # shared by the two three-runner windows that survive to a table
+    # shared by the two three-runner windows that survive to a table; the
+    # table holds for j >= i+2
     return (
-        Probe("dn", ("hook", "(i+1,i,1)", 1), "TA.1"),
-        Probe("dn", ("downdownup", "(i-1,i+1,i)", 0), "TA.2"),
-        Probe("dn", ("hook", "(i+1,i+2,2)", 1), "TA.3"),
-        Probe("dn", ("hook", "(i+1,i+1,2)", 0), "TA.4"),
+        Probe("dn", ("hook", "[(i+1,i,1)] if j>=i+2 else []", 1), "TA.1"),
+        Probe("dn", ("downdownup", "[(i-1,i+1,i)] if j>=i+2 else []", 0),
+              "TA.2"),
+        Probe("dn", ("hook", "[(i+1,i+2,2)] if j>=i+2 else []", 1), "TA.3"),
+        Probe("dn", ("hook", "[(i+1,i+1,2)] if j>=i+2 else []", 0), "TA.4"),
         Probe("dn", ("hook", "[(i+2,i+2,1)] if j>=i+2 else []", 1), "TA.5"),
-        Probe("dn", ("hook", "(i+1,i+1,1)", 1), "TA.6"),
-        Probe("jbound", ("hook", "(i+1,i+1,1)", 2), "TA.6"),
-        Probe("dn", ("down", "(i,)", 0), "TA.7"),
-        Probe("dn", ("hook", "[(i+1,x,2) for x in range(i+3,k+1)]", 0),
-              "TA.8"),
-        Probe("dn", ("down", "[(x,) for x in range(j+1,k+1)]", 0), "TA.9"),
-        Probe("dn", ("hook", "[(x,x,1) for x in range(i+3,j+1)]", 0),
-              "TA.10"),
+        Probe("dn", ("hook", "[(i+1,i+1,1)] if j>=i+2 else []", 1), "TA.6"),
+        Probe("jbound", ("hook", "[(i+1,i+1,1)] if j>=i+2 else []", 2),
+              "TA.6"),
+        Probe("dn", ("down", "[(i,)] if j>=i+2 else []", 0), "TA.7"),
+        Probe("dn", ("hook", "[(i+1,x,2) for x in range(i+3,k+1)] "
+                     "if j>=i+2 else []", 0), "TA.8"),
+        Probe("dn", ("down", "[(x,) for x in range(j+1,k+1)] "
+                     "if j>=i+2 else []", 0), "TA.9"),
+        Probe("dn", ("hook", "[(x,x,1) for x in range(i+3,j+1)] "
+                     "if j>=i+2 else []", 0), "TA.10"),
     )
 
 
@@ -503,7 +507,8 @@ _IV_ROWS = [
      3, (0, 0, 0, 0, 1)),
     (("hook", "(i,i-1,2)"), "j<k==l==m", ("hook", "(i-1,j+1,1)"),
      4, (0, 1, 2, 2, 2)),
-    (("hook", "(i,i-1,2)"), "j==k==l==m", ("hook", "(i-1,i,1)"),
+    # the beta chain's tau and order probes need e >= 3; e = 2 is IV-e2-H5
+    (("hook", "(i,i-1,2)"), "j==k==l==m and e>=3", ("hook", "(i-1,i,1)"),
      4, (0, 1, 1, 1, 1)),
     (("hook", "(i,m,2)"), "j<k<l-1 and l<m", ("downdownup",
      "(l-1,l,j+1)"), 6, (0, 0, 1, 3, 4)),
@@ -542,17 +547,22 @@ def _build_cases() -> dict[str, CaseSpec]:
         "IV-5": _beta_chain_probes("(i-1,i+1,2)"),
         "IV-6": _beta_chain_probes("(e+i-2,i,2)"),
         "IV-9": _beta_chain_probes("(i-1,i+1,2)"),
+        # the TB table holds for j >= i+1
         "IV-11": (
-            Probe("dn", ("hook", "(i,i+1,2)", 1), "TB.1"),
-            Probe("dn", ("hook", "(i,i,2)", 0), "TB.2"),
-            Probe("dn", ("hook", "(i+1,i+1,1)", 1), "TB.3"),
-            Probe("dn", ("downdownup", "(i,i-1,m)", 1), "TB.4"),
-            Probe("dn", ("hook", "(i-1,m,2)", 0), "TB.5"),
-            Probe("dn", ("hook", "(i,m,1)", 0), "TB.6"),
-            Probe("dn", ("hook", "(i,i-1,1)", 1), "TB.7"),
-            Probe("dn", ("hook", "(i,i,1)", 1), "TB.8"),
-            Probe("jbound", ("hook", "(i,i,1)", 2), "TB.8"),
-            Probe("dn", ("hook", "(i-1,i-1,2)", 1), "TB.9"),
+            Probe("dn", ("hook", "[(i,i+1,2)] if j>=i+1 else []", 1), "TB.1"),
+            Probe("dn", ("hook", "[(i,i,2)] if j>=i+1 else []", 0), "TB.2"),
+            Probe("dn", ("hook", "[(i+1,i+1,1)] if j>=i+1 else []", 1),
+                  "TB.3"),
+            Probe("dn", ("downdownup", "[(i,i-1,m)] if j>=i+1 else []", 1),
+                  "TB.4"),
+            Probe("dn", ("hook", "[(i-1,m,2)] if j>=i+1 else []", 0), "TB.5"),
+            Probe("dn", ("hook", "[(i,m,1)] if j>=i+1 else []", 0), "TB.6"),
+            Probe("dn", ("hook", "[(i,i-1,1)] if j>=i+1 else []", 1), "TB.7"),
+            Probe("dn", ("hook", "[(i,i,1)] if j>=i+1 else []", 1), "TB.8"),
+            Probe("jbound", ("hook", "[(i,i,1)] if j>=i+1 else []", 2),
+                  "TB.8"),
+            Probe("dn", ("hook", "[(i-1,i-1,2)] if j>=i+1 else []", 1),
+                  "TB.9"),
         ),
     }
     for btype, rows in (("III", _III_ROWS), ("IV", _IV_ROWS)):

@@ -56,8 +56,6 @@ def _pair_valuation(L: RimHook, N: RimHook, p: Params) -> int:
         raise InvariantError(
             f"hook-pair valuation: hooks {L.nodes} and {N.nodes} share the "
             f"hand {hl}, which forces equal bipartitions")
-    if k == 1:
-        return 1
     if p.charp == 0:
         return 1
     mult = 1
@@ -76,17 +74,12 @@ def _epsilon(L: RimHook, N: RimHook) -> int:
 
 
 def _pairs_from_data(data_l, data_n, p: Params) -> list[HookPair]:
-    out = []
-    # equal sizes and equal rests imply equal hook lengths
-    for L in data_l:
-        for N in data_n:
-            if L.rest != N.rest:
-                continue
-            if residue(L.hand, p) != residue(N.hand, p):
-                continue
-            out.append(HookPair(L, N, _epsilon(L, N),
-                                _pair_valuation(L, N, p)))
-    return out
+    # a bipartition has at most one hook per (rest, hand residue), the
+    # valuation table's bucket key; equal rests imply equal hook lengths
+    by_key = {(N.rest, residue(N.hand, p)): N for N in data_n}
+    return [HookPair(L, N, _epsilon(L, N), _pair_valuation(L, N, p))
+            for L in data_l
+            if (N := by_key.get((L.rest, residue(L.hand, p)))) is not None]
 
 
 def hook_pairs(lam: Bipartition, nu: Bipartition, p: Params) -> list[HookPair]:
@@ -254,6 +247,6 @@ def matrix_from_members(members, p: Params) -> DecompMatrix:
 
 def decomposition_matrix(key: BlockKey, p: Params) -> DecompMatrix:
     """The block's matrix. A block of weight above 3 is refused from its
-    key, before its members are enumerated; the solve weighs no member."""
+    content, before any member is searched; the solve weighs no member."""
     _require_certified(block_weight(key, p))
     return _solve(*ranked(enumerate_block(key, p)), key, p)

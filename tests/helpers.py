@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from bipblocks.core import (
     EMPTY_BIP, Bipartition, InvariantError, Node, Params, Partition, RimHook,
     _beta_set, add_node, bipartitions, canonical_sort, corners, dominance_key,
-    dominates, remove_node,
+    dominates, remove_node, residue,
 )
 from bipblocks.abacus import display, from_display, gamma_vector, transfer_bead
 from bipblocks.blocks import (
@@ -15,7 +15,8 @@ from bipblocks.blocks import (
     enumerate_block, swap_components, weight_trace,
 )
 from bipblocks.crystal import StripTrace, is_restricted, signature
-from bipblocks.js import _valuation_table
+from bipblocks import js
+from bipblocks.js import HookPair, _valuation_table
 
 
 @lru_cache(maxsize=None)
@@ -302,3 +303,20 @@ def strip_by_signatures(b: Bipartition, p: Params):
         b = remove_node(b, step[1])
         residues.append(step[0])
     return b == EMPTY_BIP, StripTrace(tuple(residues), b)
+
+
+# The nested scan that js._pairs_from_data replaced by a lookup keyed by
+# (rest, hand residue), kept as its oracle: every hook of lam is tried
+# against every hook of nu.
+
+def pairs_by_scan(lam: Bipartition, nu: Bipartition, p: Params):
+    out = []
+    for L in js._hook_data(lam):
+        for N in js._hook_data(nu):
+            if L.rest != N.rest:
+                continue
+            if residue(L.hand, p) != residue(N.hand, p):
+                continue
+            out.append(HookPair(L, N, js._epsilon(L, N),
+                                js._pair_valuation(L, N, p)))
+    return out

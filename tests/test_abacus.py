@@ -5,9 +5,9 @@ from bipblocks.core import (
     Params, bip, EMPTY_BIP, residue, rim_hooks,
 )
 from bipblocks.abacus import (
-    Bicharge, canonical_bicharge, to_display, from_display, display,
-    gamma_vector, apply_move, transfer_bead, push_down_lowest, push_up,
-    is_bicore, s_xy,
+    AbacusDisplay, Bicharge, canonical_bicharge, to_display, from_display,
+    display, gamma_vector, apply_move, transfer_bead, push_down_lowest,
+    push_up, is_bicore, s_xy,
 )
 from helpers import small_bips, params_st, addable_nodes, removable_nodes
 
@@ -76,6 +76,18 @@ class TestMoves:
         d = to_display(b, P54, Bicharge(9, 9))
         moved = apply_move(d, 1, 13, 8)
         assert from_display(moved).size == b.size - 5
+
+    def test_negative_position(self):
+        with pytest.raises(ValueError, match="^positions must be "
+                           "non-negative$"):
+            AbacusDisplay(P54, frozenset({-1}), frozenset())
+
+    @pytest.mark.parametrize("move", [transfer_bead, push_down_lowest])
+    def test_empty_runner(self, move):
+        d = AbacusDisplay(P54, frozenset({1, 2}), frozenset({0}))
+        with pytest.raises(ValueError, match="^no bead on runner 0 of "
+                           "component 1$"):
+            move(d, 1, 0)
 
     def test_missing_source(self):
         d = display(EMPTY_BIP, P54)

@@ -170,6 +170,14 @@ class TestClosedFormWeightOracle:
 
 
 class TestEnumerate:
+    def test_empty_key_weighed_without_search(self, monkeypatch):
+        # no bipartition of 10 has every node of residue 0, yet the weight
+        # is read off the content alone
+        def refuse(key, p):
+            raise AssertionError(f"searched the block {key}")
+        monkeypatch.setattr(blocks, "_members", refuse)
+        assert block_weight(BlockKey(10, (10, 0, 0, 0)), P43) == -90
+
     def test_empty_block(self):
         p = Params.make(3, (0, 1))
         assert enumerate_block(key_of(EMPTY_BIP, p), p) == [EMPTY_BIP]
@@ -442,6 +450,12 @@ class TestClassify:
         with pytest.raises(ValueError, match="^no nucleus: block is core or "
                            "of even weight$"):
             block_family(key_of(bip((3,), ()), p), p)
+
+    def test_even_weight_member_has_no_nucleus(self):
+        # the reduction of a weight-2 member ends on two low runners
+        with pytest.raises(ValueError, match="^no nucleus: reduction does "
+                           "not reach a single low runner$"):
+            _nuclei(bip((3,), ()), Params.make(3, (0, 1)))
 
     def test_h5_descriptor(self):
         p = Params.make(2, (1, 1))

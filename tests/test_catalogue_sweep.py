@@ -7,7 +7,6 @@ catalogue gains a guard or a tighter condition, the table shrinks with it;
 an expected value is never edited to match the output.
 """
 
-import re
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -16,24 +15,12 @@ from bipblocks import cli
 from bipblocks.blocks import _OFFSET
 from bipblocks.cli import CASES, _case_namespace, _eval, verify_case
 
-# (case, outcome, e): the windows of that outcome, one digit per entry
-NOT_PASS = {
-    ("III-8", "FAIL", 4): "01222 12333 23444 34555",
-    ("III-8", "FAIL", 5): "01222 01223 01333 12333 12334 12444 23444 23445 "
-                          "23555 34555 34556 34666 45666 45667 45777",
-    ("III-10", "FAIL", 3): "01111 12222 23333",
-    ("III-10", "FAIL", 4): "01111 01112 12222 12223 23333 23334 34444 34445",
-    ("III-10", "FAIL", 5): "01111 01112 01113 12222 12223 12224 23333 23334 "
-                           "23335 34444 34445 34446 45555 45556 45557",
-    ("IV-6", "FAIL", 2): "00000 11111",
-    ("IV-11", "error", 3): "00001 11112 22223",
-    ("IV-11", "error", 4): "00001 00002 11112 11113 22223 22224 33334 33335",
-    ("IV-11", "error", 5): "00001 00002 00003 11112 11113 11114 22223 22224 "
-                           "22225 33334 33335 33336 44445 44446 44447",
-}
-
-# IV-11 at j = i asks for a label its family does not have
-MISSING_LABEL = re.compile(r"no member labelled hook\((\d+), \1, 1\)$")
+# (case, outcome, e): the windows of that outcome, one digit per entry.
+# Empty since the stacked-column rows (TA.*) carry j >= i+2, the IV-11
+# rows (TB.*) carry j >= i+1 and IV-6 needs e >= 3: the windows that failed
+# before lay outside those tables, and the canonical-basis oracle
+# (tests/fock.py) confirms the solver on every sweep block.
+NOT_PASS = {}
 
 
 def windows(btype, e):
@@ -47,7 +34,7 @@ def windows(btype, e):
 
 
 def test_sweep_to_e5(monkeypatch):
-    # 738 instantiations solve 419 distinct matrices: build each family
+    # 736 instantiations solve 419 distinct matrices: build each family
     # and each matrix once
     family = lru_cache(maxsize=None)(cli.family_from_type_params)
     solve, matrices = cli.matrix_from_members, {}
@@ -68,15 +55,11 @@ def test_sweep_to_e5(monkeypatch):
                 if not _eval(spec.conditions,
                              _case_namespace(spec, e, w)):
                     continue
-                try:
-                    out = "PASS" if verify_case(spec, e, w).overall else "FAIL"
-                except ValueError as exc:
-                    assert MISSING_LABEL.search(str(exc)), exc
-                    out = "error"
+                out = "PASS" if verify_case(spec, e, w).overall else "FAIL"
                 outcomes[out] += 1
                 if out != "PASS":
                     seen.setdefault((case_id, out, e), []).append(
                         "".join(map(str, w)))
-    assert outcomes == {"PASS": 665, "FAIL": 47, "error": 26}
+    assert outcomes == {"PASS": 736}
     assert {k: " ".join(ws) for k, ws in seen.items()} == NOT_PASS
     assert len(matrices) == 419

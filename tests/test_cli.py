@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -126,6 +127,10 @@ class TestSerialization:
     def test_missing_field(self):
         with pytest.raises(ValueError, match="comp2"):
             parse('{"comp1":[4]}')
+
+    def test_unknown_value_type(self):
+        with pytest.raises(TypeError, match="^cannot serialize object$"):
+            serialize(object())
 
     @given(descriptors)
     def test_any_descriptor_round_trip(self, desc):
@@ -437,7 +442,13 @@ class TestCommands:
         assert res.output == ("error: window (5, 7, 8, 8, 8): need "
                               "0 <= i < e = 5\n")
 
-    def test_verify_missing_label(self):
+    def test_verify_missing_label(self, monkeypatch):
+        # IV-11 with the TB.3 row unguarded: at j = i its label does not
+        # exist
+        spec = CASES["IV-11"]
+        monkeypatch.setitem(cli.CASES, "IV-11", dataclasses.replace(
+            spec, probes=spec.probes + (
+                cli.Probe("dn", ("hook", "(i+1,i+1,1)", 1), "TB.3"),)))
         res = run("verify", "--case", "IV-11", "--e", "4",
                   "--params", "0,0,0,0,1")
         assert res.exit_code == 1
@@ -462,24 +473,57 @@ class TestCommands:
         assert res.exit_code == 2
         assert message in res.output
 
-    def test_verify_failing_instantiation(self):
-        # a window with j = i+1, outside the stacked-column table
+    def test_verify_failing_instantiation(self, monkeypatch):
+        # III-8 with the TA.9 row unguarded: at j = i+1 it fails
+        spec = CASES["III-8"]
+        monkeypatch.setitem(cli.CASES, "III-8", dataclasses.replace(
+            spec, probes=spec.probes + (cli.Probe(
+                "dn", ("down", "[(x,) for x in range(j+1,k+1)]", 0),
+                "TA.9"),)))
         res = run("verify", "--case", "III-8", "--e", "4",
                   "--params", "0,1,2,2,2")
         assert res.exit_code == 1
         assert res.output.startswith("III-8: FAIL\n")
         assert "[FAIL]" in res.output
 
+    @pytest.mark.parametrize("case, e, window", [
+        ("III-8", "4", "0,1,2,2,2"), ("IV-11", "4", "0,0,0,0,1")])
+    def test_guarded_window_passes(self, case, e, window):
+        # j = i+1 for III-8 and j = i for IV-11: the guarded rows drop out
+        res = run("verify", "--case", case, "--e", e, "--params", window)
+        assert res.exit_code == 0
+        assert res.output.startswith(f"{case}: PASS\n")
+
+    def test_iv6_refuses_e2(self):
+        # e = 2 is the separate case IV-e2-H5
+        res = run("verify", "--case", "IV-6", "--e", "2",
+                  "--params", "0,0,0,0,0")
+        assert res.exit_code == 1
+        assert res.output == ("error: instantiation (0, 0, 0, 0, 0) violates "
+                              "'j==k==l==m and e>=3'\n")
+
     # Params.make refuses the parameters before any work
     @pytest.mark.parametrize("flags, message", [
         (["--e", "1"], "e must be at least 2"),
         (["--charp", "4"], "charp must be 0 or prime"),
         (["--e", "4", "--charp", "2"], "charp must not divide e"),
+        (["--charp", "1"], "charp must be 0 or prime"),
+        (["--charp", "9"], "charp must be 0 or prime"),
     ])
     def test_parameters_refused(self, flags, message):
         res = run("bip", "info", "--bip", DOC, *flags)
         assert res.exit_code == 1
         assert res.output == f"error: {message}\n"
+
+    def test_prime_charp_accepted(self):
+        res = run("bip", "info", "--bip", DOC, "--charp", "5")
+        assert res.exit_code == 0, res.output
+
+    def test_document_not_an_object(self):
+        res = run("bip", "info", "--bip", "[1]")
+        assert res.exit_code == 1
+        assert res.output == ("error: parse error at line 1, column 1: "
+                              "expected a JSON object\n")
 
     @pytest.mark.parametrize("args, message", [
         (["verify", "--case", "NOPE"], "unknown case NOPE"),

@@ -190,6 +190,13 @@ class TestBoundary:
             Node(1, 4, 1), Node(2, 2, 1), Node(4, 1, 1),
             Node(1, 3, 2), Node(3, 2, 2)]
 
+    def test_node_not_addable_or_removable(self):
+        b = bip((2, 1), ())
+        with pytest.raises(ValueError, match="^node is not addable$"):
+            add_node(b, Node(2, 3, 1))
+        with pytest.raises(ValueError, match="^node is not removable$"):
+            remove_node(b, Node(1, 1, 1))
+
     @given(small_bips(7))
     def test_add_remove_inverse(self, b):
         for nd in addable_nodes(b):

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given
 
-from bipblocks import js
+from bipblocks import blocks, js
 from bipblocks.core import (
     InvariantError, Params, bip, dominates, EMPTY_BIP, canonical_sort,
     dominance_key, ranked, rim_hooks,
@@ -21,7 +21,9 @@ from bipblocks.js import (
     order_from_members, matrix_from_members,
     decomposition_matrix, _pair_valuation, _solve_column, _valuation_table,
 )
-from helpers import bips_of, matrix_by_bips, small_bips, params_st
+from helpers import (
+    bips_of, matrix_by_bips, pairs_by_scan, small_bips, params_st,
+)
 
 
 class TestHookPairs:
@@ -75,6 +77,27 @@ class TestHookPairs:
         bwd = sum(pr.epsilon * pr.valuation for pr in hook_pairs(b, a, p))
         assert fwd == bwd
 
+    @pytest.mark.parametrize("e", [2, 3, 4])
+    def test_lookup_matches_scan(self, e, monkeypatch):
+        # every pair of distinct bipartitions of one size n <= 5 (a
+        # bipartition's pair with itself shares hands, which both refuse):
+        # the (rest, hand residue) lookup finds the nested scan's pairs, in
+        # its order; rim_hooks is not under test, so both sides read one
+        # memo
+        monkeypatch.setattr(js, "_hook_data",
+                            lru_cache(maxsize=None)(js._hook_data))
+        pairs = [(lam, nu) for n in range(6)
+                 for lam, nu in product(bips_of(n), repeat=2) if lam != nu]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CharacteristicWarning)
+            for k, charp in product(range(e), (0, 2, 3)):
+                if charp and e % charp == 0:
+                    continue
+                p = Params.make(e, (0, k), charp)
+                for lam, nu in pairs:
+                    assert hook_pairs(lam, nu, p) == \
+                        pairs_by_scan(lam, nu, p), (lam, nu, p)
+
 
 def _small_blocks(p, max_n=8):
     """Every block of bipartitions of size at most max_n, canonically
@@ -96,11 +119,13 @@ def _recorded(fn):
 
 
 def _all_pairs_table(members, p):
-    """The nonzero entries of the all-pairs loop the hash join replaced."""
+    """The nonzero entries of the all-pairs loop the hash join replaced,
+    each pair's hooks matched by the nested scan."""
     table = {}
     for a, b in combinations(members, 2):
         if dominates(a, b):
-            v = sum(pr.epsilon * pr.valuation for pr in hook_pairs(a, b, p))
+            v = sum(pr.epsilon * pr.valuation
+                    for pr in pairs_by_scan(a, b, p))
             if v:
                 table[a, b] = v
     return table
@@ -249,11 +274,15 @@ class TestMatrixBasics:
         assert m.rows == (EMPTY_BIP,) and m.cols == (EMPTY_BIP,)
         assert m.entries == ((1,),)
 
-    def test_weight_above_three_refused(self):
+    def test_weight_above_three_refused(self, monkeypatch):
+        # the weight is read off the key's content: no member is searched
+        def refuse(key, p):
+            raise AssertionError(f"searched the block {key}")
+        monkeypatch.setattr(blocks, "_members", refuse)
         p = Params.make(2, (0, 0))
         b = bip((), (4,))
         assert weight(b, p) == 4
-        with pytest.raises(ValueError, match="weight"):
+        with pytest.raises(ValueError, match="^unsupported weight 4: "):
             decomposition_matrix(block_key(b, p)[0], p)
 
     def test_members_of_weight_above_three_refused(self):
