@@ -501,10 +501,11 @@ def exceptional_labels(fam: BlockFamily) -> list[MemberLabel]:
 
 
 def exceptional_bips(key: BlockKey, p: Params) -> list[MemberLabel]:
-    """Exceptional members of a weight-3 block, as labels."""
-    desc = classify_type(key, p)
-    if desc.weight != 3:
+    """Exceptional members of a weight-3 block, as labels. Another weight
+    is refused from the content, before any member is searched."""
+    if block_weight(key, p) != 3:
         raise ValueError("exceptional members are defined for weight 3 only")
+    desc = classify_type(key, p)
     if desc.is_core:
         return []
     return exceptional_labels(_family(p, desc.swapped, desc.nucleus,

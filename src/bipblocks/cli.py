@@ -245,7 +245,8 @@ def _cache_path(key: BlockKey, p: Params) -> str:
 def cached_matrix(key: BlockKey, p: Params) -> DecompMatrix:
     """The block's matrix, read from the content-addressed cache when
     possible. A cache document is the matrix's document with the solver
-    version, e, kappa and charp beside it. A file that cannot be read,
+    version, e, kappa and charp beside it, written as one compact JSON line
+    (an indented document reads the same). A file that cannot be read,
     does not parse as a matrix, holds another block's matrix, or records
     another version or other parameters, is a miss and is overwritten; a
     failed write raises ValueError and leaves no temporary file."""
@@ -265,7 +266,7 @@ def cached_matrix(key: BlockKey, p: Params) -> DecompMatrix:
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(serialize({**stamp, **_doc(matrix)}))
+            fh.write(json.dumps({**stamp, **_doc(matrix)}))
         os.replace(tmp, path)  # last writer wins; content is identical anyway
     except OSError as exc:
         with contextlib.suppress(OSError):

@@ -13,6 +13,7 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from itertools import combinations
 from operator import ge
 
@@ -199,21 +200,32 @@ class DecompMatrix:
         return _flag(self.jbound(lam, mu))
 
 
-def _solve_column(r: int, by_row, members, keys):
-    """Entry, bound and flag of rows r..0 of row r's column. Rows below r
-    are 0, since every table step (i, j) has i < j."""
-    mu = members[r]
-    dn, bounds, flags = {r: 1}, {r: 1}, {r: "direct"}
-    for i in range(r - 1, -1, -1):
-        j = sum(v for k, v in by_row[i] if dn.get(k))
+def _solve_column(r: int, by_col, members, keys):
+    """Entry, bound and flag of the rows that row r's column reaches.
+    Rows are taken in decreasing index, and a row k with a positive bound
+    adds the value v of each table step (i, k), listed in ``by_col[k]`` as
+    (i, v), to row i's bound. Every step has i < k, so a row's bound is
+    complete when it is taken; a row never reached has bound 0, and so do
+    the rows below r."""
+    mu, top = members[r], keys[r]
+    dn, bounds, flags = {}, {}, {}
+    acc, heap = {r: 1}, [-r]
+    while heap:
+        k = -heappop(heap)
+        j = acc[k]
         if j < 0:
             raise InvariantError(
-                f"column solve of {mu}: negative bound {j} at {members[i]}")
-        if j > 0 and not all(map(ge, keys[i], keys[r])):
+                f"column solve of {mu}: negative bound {j} at {members[k]}")
+        if j > 0 and not all(map(ge, keys[k], top)):
             raise InvariantError(
-                f"column solve of {mu}: nonzero bound {j} at {members[i]}, "
+                f"column solve of {mu}: nonzero bound {j} at {members[k]}, "
                 "which does not dominate it")
-        dn[i], bounds[i], flags[i] = int(j > 0), j, _flag(j)
+        dn[k], bounds[k], flags[k] = int(j > 0), j, _flag(j)
+        if j > 0:
+            for i, v in by_col[k]:
+                if i not in acc:
+                    heappush(heap, -i)
+                acc[i] = acc.get(i, 0) + v
     return dn, bounds, flags
 
 
@@ -227,13 +239,15 @@ def _solve(rows, keys, key: BlockKey, p: Params) -> DecompMatrix:
     """The matrix of the block ``key``, from its members in canonical
     order and their dominance keys."""
     at = [r for r, m in enumerate(rows) if is_restricted(m, p)[0]]
-    # group the table by dominating row so each column scan is linear
-    by_row = [[] for _ in rows]
+    # group the table by dominated row, the row a column solve pushes from
+    by_col = [[] for _ in rows]
     for (i, j), v in _valuation_table(rows, keys, p).items():
-        by_row[i].append((j, v))
-    bounds = [_solve_column(r, by_row, rows, keys)[1] for r in at]
-    jbounds = tuple(tuple(col.get(i, 0) for col in bounds)
-                    for i in range(len(rows)))
+        by_col[j].append((i, v))
+    table = [[0] * len(at) for _ in rows]
+    for c, r in enumerate(at):
+        for i, j in _solve_column(r, by_col, rows, keys)[1].items():
+            table[i][c] = j
+    jbounds = tuple(map(tuple, table))
     return DecompMatrix(key, rows, tuple(rows[r] for r in at), jbounds)
 
 

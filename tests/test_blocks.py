@@ -536,6 +536,19 @@ class TestExceptional:
         with pytest.raises(ValueError, match="weight 3"):
             exceptional_bips(key_of(EMPTY_BIP, p), p)
 
+    # the n = 94 weight-4 key, whose member search took seconds, and a key
+    # whose content no bipartition has: both are weighed from the content
+    @pytest.mark.parametrize("key, p", [
+        (BlockKey(94, (52, 42)), Params.make(2, (0, 0))),
+        (BlockKey(10, (10, 0, 0, 0)), Params.make(4, (0, 3)))])
+    def test_weight_refused_before_member_search(self, key, p, monkeypatch):
+        def refuse(key, p):
+            raise AssertionError(f"searched the block {key}")
+        monkeypatch.setattr(blocks, "_member_of", refuse)
+        assert block_weight(key, p) != 3
+        with pytest.raises(ValueError, match="weight 3 only"):
+            exceptional_bips(key, p)
+
     @given(small_bips(8), params_st(3))
     def test_filter_matches_direct_definition(self, b, p):
         key = key_of(b, p)

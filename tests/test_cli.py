@@ -742,9 +742,25 @@ class TestCache:
         plain = run("decomp", "--bip", H5DOC, "--no-cache")
         assert res.exit_code == 0
         assert res.output == plain.output
-        # the miss was recomputed and written over the bad file
+        # the miss was recomputed and written over the bad file, as one
+        # compact line
         assert path.read_text(encoding="utf-8") == \
-            serialize(self._cache_doc(self.H5KEY))
+            json.dumps(self._cache_doc(self.H5KEY))
+
+    def test_indented_file_is_a_hit(self, tmp_path, monkeypatch):
+        # earlier versions wrote the cache document with indent=2
+        path = tmp_path / os.path.basename(_cache_path(self.H5KEY, self.H5))
+        text = serialize(self._cache_doc(self.H5KEY))
+        path.write_text(text, encoding="utf-8")
+        plain = run("decomp", "--bip", H5DOC, "--no-cache")
+
+        def refuse(key, p):
+            raise AssertionError("a hit must not solve")
+        monkeypatch.setattr(cli, "decomposition_matrix", refuse)
+        res = run("decomp", "--bip", H5DOC, env={CACHE_ENV: str(tmp_path)})
+        assert res.exit_code == 0, res.output
+        assert res.output == plain.output
+        assert path.read_text(encoding="utf-8") == text
 
     def test_cache_document_records_its_parameters(self, tmp_path):
         run("decomp", "--bip", H5DOC, env={CACHE_ENV: str(tmp_path)})

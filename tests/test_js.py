@@ -172,8 +172,8 @@ class TestInvariantErrors:
         with pytest.raises(InvariantError, match="hook-pair valuation"):
             _pair_valuation(hook, hook, self.P)
 
-    # row 0 is lam, placed above the column mu = row 1, and its one
-    # table step reaches mu
+    # row 0 is lam, placed above the column mu = row 1; the table, grouped
+    # by dominated row, has one step (0, 1), which mu pushes up to lam
     LAM_MU = (bip((1, 1), ()), bip((2,), ()))
     KEYS = [dominance_key(b) for b in LAM_MU]
 
@@ -181,13 +181,13 @@ class TestInvariantErrors:
         with pytest.raises(InvariantError,
                            match=r"column solve of \(2\|-\): negative "
                                  r"bound -1 at \(1,1\|-\)"):
-            _solve_column(1, [[(1, -1)], []], self.LAM_MU, self.KEYS)
+            _solve_column(1, [[], [(0, -1)]], self.LAM_MU, self.KEYS)
 
     def test_bound_off_dominance_cone(self):
         assert not dominates(*self.LAM_MU)
         with pytest.raises(InvariantError,
                            match=r"\(1,1\|-\), which does not dominate"):
-            _solve_column(1, [[(1, 1)], []], self.LAM_MU, self.KEYS)
+            _solve_column(1, [[], [(0, 1)]], self.LAM_MU, self.KEYS)
 
     def test_order_step_against_canonical_order(self, monkeypatch):
         top, low = bip((2,), ()), bip((1, 1), ())
@@ -361,6 +361,34 @@ def test_solver_matches_bipartition_keyed_oracle(monkeypatch):
             == matrix_by_bips(members, p), (members, p)
         count += 1
     assert count == 1080
+
+
+# The decomp blocks of the benchmark: the type-III ladder at the window
+# (0, 1, 1, 2, 3), and the weight-3 blocks drawn for its (e, n) slots,
+# each rebuilt from a member: (e, kappa, comp1, comp2).
+SLOT_WITNESSES = {
+    "w3-e4-n14": (4, (0, 3), (5, 2), (2, 1, 1, 1, 1, 1)),
+    "w3-e5-n16": (5, (0, 3), (2, 2, 1), (8, 1, 1, 1)),
+    "w3-e6-n18": (6, (0, 5), (5, 3, 2, 2, 1, 1), (1, 1, 1, 1)),
+}
+
+
+def _benchmark_member(name):
+    if name.startswith("ladder"):
+        fam = family_from_type_params("III", int(name[-1]), (0, 1, 1, 2, 3))
+        return fam.labels[0].bipartition, fam.params
+    e, kappa, c1, c2 = SLOT_WITNESSES[name]
+    return bip(c1, c2), Params.make(e, kappa)
+
+
+@pytest.mark.parametrize("name", ["ladder-e5", "ladder-e7", *SLOT_WITNESSES])
+def test_solver_matches_oracle_on_benchmark_blocks(name):
+    b, p = _benchmark_member(name)
+    assert weight(b, p) == 3
+    members = enumerate_block(block_key(b, p)[0], p)
+    m = matrix_from_members(members, p)
+    assert (m.rows, m.cols, m.entries, m.jbounds, m.flags) \
+        == matrix_by_bips(members, p)
 
 
 class TestTwoRectangleColumn:
