@@ -463,12 +463,16 @@ def classify_type(key: BlockKey, p: Params) -> BlockDescriptor:
     return _analyze_member(_member_of(key, p), p)
 
 
-def block_family(key: BlockKey, p: Params) -> BlockFamily:
-    """The labelled family built from the block's nucleus."""
-    desc = classify_type(key, p)
+def _nucleus_family(desc: BlockDescriptor, p: Params) -> BlockFamily:
+    """The labelled family built from the nucleus that ``desc`` records."""
     if desc.nucleus is None:
         raise ValueError("no nucleus: block is core or of even weight")
     return _family(p, desc.swapped, desc.nucleus, desc.z_set, desc.weight)
+
+
+def block_family(key: BlockKey, p: Params) -> BlockFamily:
+    """The labelled family built from the block's nucleus."""
+    return _nucleus_family(classify_type(key, p), p)
 
 
 def nucleus_and_Z(key: BlockKey, p: Params) -> tuple[Bipartition, frozenset[int]]:
@@ -506,10 +510,7 @@ def exceptional_bips(key: BlockKey, p: Params) -> list[MemberLabel]:
     if block_weight(key, p) != 3:
         raise ValueError("exceptional members are defined for weight 3 only")
     desc = classify_type(key, p)
-    if desc.is_core:
-        return []
-    return exceptional_labels(_family(p, desc.swapped, desc.nucleus,
-                                      desc.z_set, 3))
+    return [] if desc.is_core else exceptional_labels(_nucleus_family(desc, p))
 
 
 def _rect(rows: int, width: int) -> Partition:

@@ -2,10 +2,13 @@
 cache for solved matrices, and a verifier that recomputes the catalogued
 block families and checks them against built-in fixtures.
 
-Input documents are JSON objects {"e", "kappa", "charp", "comp1",
-"comp2"}; matrices are emitted as {"block", "rows", "cols", "entries",
-"jBounds", "flags"}. Every fixture value carries a short provenance tag
-(see the notes that accompany the source distribution).
+The program reads three kinds of JSON document and writes the rest:
+- a bipartition {"comp1", "comp2"} and a block key {"n", "content"}, from
+  the command line, each with optional "e", "kappa" and "charp";
+- a matrix {"block", "rows", "cols", "entries", "jBounds", "flags"}, from
+  its own disk cache, beside the solver version and the parameters.
+Every fixture value carries a short provenance tag (see the notes that
+accompany the source distribution).
 """
 
 from __future__ import annotations
@@ -108,15 +111,11 @@ def _load_doc(text: str) -> dict:
     return doc
 
 
-# int() would truncate a float and read a bool or a string of digits, and
-# bool() would read any value, so a typed field accepts only its own JSON
-# type: type(x) is int, bool or str.
-_KINDS = {int: "an integer", bool: "true or false", str: "a string"}
-
-
-def _typed(value, name: str, kind: type):
-    if type(value) is not kind:
-        raise ValueError(f"field {name} must be {_KINDS[kind]}")
+# int() would truncate a float and read a bool or a string of digits, so
+# an integer field accepts only its own JSON type: type(x) is int.
+def _int_field(value, name: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"field {name} must be an integer")
     return value
 
 
@@ -153,73 +152,30 @@ def _list_field(doc: dict, name: str) -> list:
     return value
 
 
-_BLOCK_TYPES = ("I", "II", "III", "IV", "other")
-
-
 def _parse_bip_fields(doc: dict, where: str = "") -> Bipartition:
     return bip(_int_list_field(_field(doc, "comp1", where), where + "comp1"),
                _int_list_field(_field(doc, "comp2", where), where + "comp2"))
 
 
 def _parse_key_fields(doc: dict, where: str = "") -> BlockKey:
-    return BlockKey(_typed(_field(doc, "n", where), where + "n", int),
+    return BlockKey(_int_field(_field(doc, "n", where), where + "n"),
                     _int_list_field(_field(doc, "content", where),
                                     where + "content"))
 
 
-def _parse_check(doc) -> Check:
-    name, expected, actual, passed = (_field(doc, f, "checks.") for f in
-                                      ("name", "expected", "actual", "pass"))
-    return Check(_typed(name, "checks.name", str), expected, actual,
-                 _typed(passed, "checks.pass", bool))
-
-
-def parse(text: str):
-    """Inverse of serialize; the value type is inferred from the keys."""
-    return _parse_doc(_load_doc(text))
-
-
-def _parse_doc(doc: dict):
-    if "caseId" in doc:
-        checks = _list_field(doc, "checks")
-        return VerifyReport(_typed(_field(doc, "caseId"), "caseId", str),
-                            tuple(map(_parse_check, checks)),
-                            _typed(_field(doc, "overall"), "overall", bool))
-    if "entries" in doc:
-        rows, cols = (tuple(_parse_bip_fields(d, f"{name}.")
-                            for d in _list_field(doc, name))
-                      for name in ("rows", "cols"))
-        key = _parse_key_fields(_field(doc, "block"), "block.")
-        m = DecompMatrix(key, rows, cols,
-                         _bound_table(doc, len(rows), len(cols)))
-        # entries and flags derive from jBounds: stored ones must match
-        for name in ("entries", "flags"):
-            if json.dumps(_field(doc, name)) != json.dumps(getattr(m, name)):
-                raise ValueError(f"field {name} disagrees with jBounds")
-        return m
-    if "weight" in doc and "block" in doc:
-        nucleus, z_set, params, btype = (_field(doc, name) for name in
-                                         ("nucleus", "zSet", "typeParams",
-                                          "type"))
-        if btype not in _BLOCK_TYPES:
-            raise ValueError("field type must be one of "
-                             + ", ".join(_BLOCK_TYPES))
-        return BlockDescriptor(
-            key=_parse_key_fields(doc["block"], "block."),
-            weight=_typed(doc["weight"], "weight", int),
-            delta=_int_list_field(_field(doc, "delta"), "delta"),
-            is_core=_typed(_field(doc, "isCore"), "isCore", bool),
-            btype=btype,
-            nucleus=None if nucleus is None
-            else _parse_bip_fields(nucleus, "nucleus."),
-            z_set=None if z_set is None
-            else frozenset(_int_list_field(z_set, "zSet")),
-            type_params=None if params is None
-            else _int_list_field(params, "typeParams"),
-            swapped=_typed(_field(doc, "swapped"), "swapped", bool))
-    if "comp1" in doc:
-        return _parse_bip_fields(doc)
-    raise ValueError("unrecognized document shape")
+def _parse_matrix(doc: dict) -> DecompMatrix:
+    """The matrix of a document that ``_doc`` wrote; a field that is
+    missing, mistyped or out of shape raises ValueError."""
+    rows, cols = (tuple(_parse_bip_fields(d, f"{name}.")
+                        for d in _list_field(doc, name))
+                  for name in ("rows", "cols"))
+    key = _parse_key_fields(_field(doc, "block"), "block.")
+    m = DecompMatrix(key, rows, cols, _bound_table(doc, len(rows), len(cols)))
+    # entries and flags derive from jBounds: stored ones must match
+    for name in ("entries", "flags"):
+        if json.dumps(_field(doc, name)) != json.dumps(getattr(m, name)):
+            raise ValueError(f"field {name} disagrees with jBounds")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +207,14 @@ def cached_matrix(key: BlockKey, p: Params) -> DecompMatrix:
     another version or other parameters, is a miss and is overwritten; a
     failed write raises ValueError and leaves no temporary file."""
     path, stamp = _cache_path(key, p), _cache_stamp(p)
-    try:
+    with contextlib.suppress(OSError, ValueError):
         with open(path, encoding="utf-8") as fh:
             doc = _load_doc(fh.read())
         # json.dumps tells true from 1, which == does not
-        value = (_parse_doc(doc) if json.dumps([doc.get(f) for f in stamp])
-                 == json.dumps(list(stamp.values())) else None)
-    except (OSError, ValueError):
-        value = None
-    if isinstance(value, DecompMatrix) and value.block == key:
-        return value
+        if (json.dumps([doc.get(f) for f in stamp])
+                == json.dumps(list(stamp.values()))
+                and (cached := _parse_matrix(doc)).block == key):
+            return cached
     matrix = decomposition_matrix(key, p)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -654,9 +608,9 @@ def _parse_params(text: str) -> tuple[int, ...]:
         raise click.UsageError("--params takes comma-separated integers")
 
 
-_PARAM_FIELDS = {"e": lambda v: _typed(v, "e", int),
+_PARAM_FIELDS = {"e": lambda v: _int_field(v, "e"),
                  "kappa": lambda v: _int_list_field(v, "kappa", 2),
-                 "charp": lambda v: _typed(v, "charp", int)}
+                 "charp": lambda v: _int_field(v, "charp")}
 
 
 def _resolve(docs: list[dict], e, kappa, charp) -> Params:

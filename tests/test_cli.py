@@ -14,14 +14,12 @@ from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 from bipblocks.core import Params, bip, canonical_sort
-from bipblocks.blocks import (
-    BlockDescriptor, BlockKey, block_key, classify_type,
-)
+from bipblocks.blocks import BlockKey, block_key
 from bipblocks import blocks, cli, js
 from bipblocks.js import DecompMatrix, decomposition_matrix
 from bipblocks.cli import (
-    CACHE_ENV, CASES, main, parse, serialize, verify_case, cached_matrix,
-    VerifyReport, Check, _cache_path, _cache_stamp,
+    CACHE_ENV, CASES, main, serialize, verify_case, cached_matrix, Check,
+    _cache_path, _cache_stamp, _load_doc, _parse_bip_fields, _parse_matrix,
 )
 from helpers import bips_of, small_bips
 
@@ -43,14 +41,6 @@ ints = st.integers(-50, 50)
 int_tuples = st.lists(ints, max_size=6).map(tuple)
 block_keys = st.builds(BlockKey, st.integers(0, 50), int_tuples)
 
-descriptors = st.builds(
-    BlockDescriptor, key=block_keys, weight=ints, delta=int_tuples,
-    is_core=st.booleans(),
-    btype=st.sampled_from(["I", "II", "III", "IV", "other"]),
-    nucleus=st.none() | small_bips(6),
-    z_set=st.none() | st.frozensets(st.integers(0, 10)),
-    type_params=st.none() | int_tuples, swapped=st.booleans())
-
 
 @st.composite
 def matrices(draw):
@@ -71,148 +61,73 @@ def json_trees(keys, max_leaves):
         max_leaves=max_leaves)
 
 
-json_values = json_trees(st.text(max_size=3), 6)
-# the keys of every document shape, nested: parse may refuse a document
+# the keys of a matrix document, nested: the matrix reader reads cache
+# files, which come from outside the program, and may refuse a document
 # only with ValueError
-DOC_KEYS = ("caseId", "checks", "name", "expected", "actual", "pass",
-            "overall", "entries", "rows", "cols", "block", "jBounds",
-            "flags", "weight", "delta", "isCore", "type", "nucleus", "zSet",
-            "typeParams", "swapped", "comp1", "comp2", "n", "content")
+DOC_KEYS = ("entries", "rows", "cols", "block", "jBounds", "flags", "comp1",
+            "comp2", "n", "content")
 documents = json_trees(st.sampled_from(DOC_KEYS), 12)
-reports = st.builds(
-    VerifyReport, st.text(max_size=8),
-    st.lists(st.builds(Check, st.text(max_size=8), json_values,
-                       json_values, st.booleans()), max_size=4).map(tuple),
-    st.booleans())
 
 
-P43 = Params.make(4, (0, 3))
-# a weight-3 block's descriptor: every optional field is set
-DESC = serialize(classify_type(block_key(bip((4,), (4, 1, 1)), P43)[0], P43))
+@st.composite
+def matrix_documents(draw):
+    """A matrix's document with some of its fields replaced by random
+    JSON, so that the reader's later checks are reached too."""
+    doc = json.loads(serialize(draw(matrices())))
+    for name in draw(st.sets(st.sampled_from(sorted(doc)))):
+        doc[name] = draw(documents)
+    return doc
+
+
+def parse_bip(text: str):
+    return _parse_bip_fields(_load_doc(text))
+
+
+def parse_matrix(text: str):
+    return _parse_matrix(_load_doc(text))
 
 
 class TestSerialization:
     @given(small_bips(8))
     def test_bip_round_trip(self, b):
-        assert parse(serialize(b)) == b
+        assert parse_bip(serialize(b)) == b
 
     def test_schema_document_accepted(self):
-        b = parse('{"comp1":[4],"comp2":[4,1,1]}')
+        b = parse_bip('{"comp1":[4],"comp2":[4,1,1]}')
         assert b == bip((4,), (4, 1, 1))
-
-    def test_descriptor_round_trip(self):
-        p = Params.make(4, (0, 3))
-        desc = classify_type(block_key(bip((4,), (4, 1, 1)), p)[0], p)
-        assert parse(serialize(desc)) == desc
 
     def test_matrix_round_trip_and_flags(self):
         p = Params.make(2, (1, 1))
         m = decomposition_matrix(block_key(bip((), (2, 1, 1, 1)), p)[0], p)
         text = serialize(m)
         assert '"clamped"' in text
-        assert parse(text) == m
-
-    def test_report_round_trip(self):
-        rep = VerifyReport("II-main", (Check("a", 1, 1, True),), True)
-        assert parse(serialize(rep)) == rep
+        assert parse_matrix(text) == m
 
     def test_malformed_position(self):
         with pytest.raises(ValueError, match=r"line \d+, column \d+"):
-            parse('{"comp1": [4,}')
+            parse_bip('{"comp1": [4,}')
 
     def test_deep_nesting(self):
         with pytest.raises(ValueError, match="nested too deeply"):
-            parse('{"comp1":' + "[" * 100_000 + "]" * 100_000 + "}")
+            parse_bip('{"comp1":' + "[" * 100_000 + "]" * 100_000 + "}")
 
     def test_missing_field(self):
         with pytest.raises(ValueError, match="comp2"):
-            parse('{"comp1":[4]}')
+            parse_bip('{"comp1":[4]}')
 
     def test_unknown_value_type(self):
         with pytest.raises(TypeError, match="^cannot serialize object$"):
             serialize(object())
 
-    @given(descriptors)
-    def test_any_descriptor_round_trip(self, desc):
-        assert parse(serialize(desc)) == desc
-
     @given(matrices())
     def test_any_matrix_round_trip(self, m):
-        assert parse(serialize(m)) == m
+        assert parse_matrix(serialize(m)) == m
 
-    @given(reports)
-    def test_any_report_round_trip(self, rep):
-        assert parse(serialize(rep)) == rep
-
-    # a report's fields are named when missing and typed: strings and
-    # JSON booleans, not values a truth test would read
-    @pytest.mark.parametrize("doc, message", [
-        ('{"caseId":"x","checks":[{}],"overall":true}',
-         "missing field checks.name"),
-        ('{"caseId":"x","checks":[],"overall":"no"}',
-         "field overall must be true or false"),
-        ('{"caseId":"x","checks":[]}', "missing field overall"),
-        ('{"caseId":"x","overall":true}', "missing field checks"),
-        ('{"caseId":7,"checks":[],"overall":true}',
-         "field caseId must be a string"),
-        ('{"caseId":"x","checks":{},"overall":true}',
-         "field checks must be a list"),
-        ('{"caseId":"x","checks":["name"],"overall":true}',
-         "missing field checks.name"),
-        ('{"caseId":"x","checks":[{"name":1,"expected":1,"actual":1,'
-         '"pass":true}],"overall":true}',
-         "field checks.name must be a string"),
-        ('{"caseId":"x","checks":[{"name":"a","expected":1,"actual":1}],'
-         '"overall":true}', "missing field checks.pass"),
-        ('{"caseId":"x","checks":[{"name":"a","expected":1,"actual":1,'
-         '"pass":1}],"overall":true}',
-         "field checks.pass must be true or false"),
-    ], ids=["check-no-name", "overall-string", "no-overall", "no-checks",
-            "caseId-int", "checks-object", "check-string", "name-int",
-            "check-no-pass", "pass-int"])
-    def test_checked_report_fields(self, doc, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            parse(doc)
-
-    # values int() or a truth test would have read, and absent fields
-    @pytest.mark.parametrize("field, value, message", [
-        ("weight", 3.9, "field weight must be an integer"),
-        ("weight", True, "field weight must be an integer"),
-        ("delta", [0, 1.5, 0, -1], "field delta must be a list"),
-        ("delta", "0", "field delta must be a list"),
-        ("isCore", "no", "field isCore must be true or false"),
-        ("isCore", 0, "field isCore must be true or false"),
-        ("swapped", None, "field swapped must be true or false"),
-        ("zSet", [0, "1"], "field zSet must be a list"),
-        ("typeParams", [0, 1, 1, 2.0, 3], "field typeParams must be a list"),
-        ("delta", None, "missing field delta"),
-        ("isCore", None, "missing field isCore"),
-        ("zSet", None, "missing field zSet"),
-        ("swapped", None, "missing field swapped"),
-        ("n", None, "missing field block.n"),
-        ("n", "10", "field block.n must be an integer"),
-        ("type", 5, "field type must be one of I, II, III, IV, other"),
-        ("type", None, "field type must be one of I, II, III, IV, other"),
-        ("type", "V", "field type must be one of I, II, III, IV, other"),
-    ], ids=["weight-float", "weight-bool", "delta-float", "delta-string",
-            "isCore-string", "isCore-int", "swapped-null", "zSet-string",
-            "typeParams-float", "no-delta", "no-isCore", "no-zSet",
-            "no-swapped", "no-n", "n-string", "type-int", "type-null",
-            "type-unknown"])
-    def test_checked_descriptor_fields(self, field, value, message):
-        doc = json.loads(DESC)
-        target = doc["block"] if field == "n" else doc
-        if message.startswith("missing"):
-            del target[field]
-        else:
-            target[field] = value
-        with pytest.raises(ValueError, match=message):
-            parse(json.dumps(doc))
-
-    @given(st.dictionaries(st.sampled_from(DOC_KEYS), documents, max_size=6))
+    @given(st.dictionaries(st.sampled_from(DOC_KEYS), documents, max_size=6)
+           | matrix_documents())
     def test_any_document_parses_or_is_refused(self, doc):
         try:
-            parse(json.dumps(doc))
+            _parse_matrix(doc)
         except ValueError:
             pass
 
@@ -289,7 +204,7 @@ class TestCommands:
     def test_bip_diamond(self):
         res = run("bip", "diamond", "--bip", H5DOC)
         assert res.exit_code == 0
-        assert parse(res.output) == bip((4, 1), ())
+        assert json.loads(res.output) == {"comp1": [4, 1], "comp2": []}
 
     def test_flag_overrides_doc(self):
         res = run("bip", "info", "--bip", '{"comp1":[4],"comp2":[4,1,1]}',
@@ -316,6 +231,15 @@ class TestCommands:
         labels = json.loads(res.output)
         assert labels and all("label" in x and "bipartition" in x
                               for x in labels)
+
+    def test_block_exceptional_core_block(self):
+        # (-|3,3,3) at e = 6 is a weight-3 core: no nucleus, no labels
+        core = '{"e":6,"kappa":[0,0],"charp":0,"comp1":[],"comp2":[3,3,3]}'
+        assert json.loads(run("block", "info", "--bip", core).output)[
+            "isCore"] is True
+        res = run("block", "exceptional", "--bip", core)
+        assert res.exit_code == 0
+        assert res.output == "[]\n"
 
     def test_js_val(self):
         res = run("js", "val", "--bip", JS_A, "--bip", JS_B)
@@ -426,8 +350,8 @@ class TestCommands:
     def test_verify_case_json(self):
         res = run("verify", "--case", "III-10", "--format", "json")
         assert res.exit_code == 0
-        rep = parse(res.output)
-        assert rep.overall and rep.case_id == "III-10"
+        rep = json.loads(res.output)
+        assert rep["overall"] is True and rep["caseId"] == "III-10"
 
     def test_verify_bad_window(self):
         res = run("verify", "--case", "III-8", "--e", "5",
@@ -591,7 +515,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("content", list(KEY_ERRORS))
     @pytest.mark.parametrize("command", [["decomp", "--no-cache"],
-                                         ["block", "enumerate"]])
+                                         ["block", "enumerate"],
+                                         ["block", "info"]])
     def test_malformed_block_key(self, command, content):
         doc = ('{"e":4,"kappa":[0,3],"charp":0,"n":10,'
                f'"content":{content}}}')
@@ -834,7 +759,7 @@ class TestCache:
                     for c, j in enumerate(row) if j == bound)
         doc[field][r][c] = value
         with pytest.raises(ValueError):
-            parse(json.dumps(doc))
+            _parse_matrix(doc)
         self._decomp_over(tmp_path, json.dumps(doc))
 
     # a regular file above the cache directory, and a directory at the
