@@ -11,6 +11,7 @@ bead moves; those moves are the member labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -338,11 +339,16 @@ def _members(key: BlockKey, p: Params):
                 yield Bipartition(first, Partition._of(c2))
 
 
+def _nonempty(members: list, key: BlockKey) -> list:
+    if not members:
+        raise ValueError(f"empty block: no bipartition of n = {key.n} has "
+                         f"content {list(key.content)}")
+    return members
+
+
 def _member_of(key: BlockKey, p: Params) -> Bipartition:
     """The block's first member in ``bipartitions`` order."""
-    for b in _members(key, p):
-        return b
-    raise ValueError("empty block: no bipartition has this content")
+    return _nonempty(list(islice(_members(key, p), 1)), key)[0]
 
 
 def block_weight(key: BlockKey, p: Params) -> int:
@@ -354,11 +360,8 @@ def block_weight(key: BlockKey, p: Params) -> int:
 
 def enumerate_block(key: BlockKey, p: Params) -> list[Bipartition]:
     """All members of the block, most dominant first, built from the
-    content."""
-    out = canonical_sort(_members(key, p))
-    if not out:
-        raise ValueError("empty block: no bipartition has this content")
-    return out
+    content; a well-formed key that has none is refused."""
+    return _nonempty(canonical_sort(_members(key, p)), key)
 
 
 def _nuclei(member: Bipartition, p: Params) -> list[tuple]:
@@ -463,11 +466,16 @@ def classify_type(key: BlockKey, p: Params) -> BlockDescriptor:
     return _analyze_member(_member_of(key, p), p)
 
 
-def _nucleus_family(desc: BlockDescriptor, p: Params) -> BlockFamily:
-    """The labelled family built from the nucleus that ``desc`` records."""
+def _nucleus(desc: BlockDescriptor) -> tuple:
+    """``(swapped, xi, Z)`` of the nucleus that ``desc`` records."""
     if desc.nucleus is None:
         raise ValueError("no nucleus: block is core or of even weight")
-    return _family(p, desc.swapped, desc.nucleus, desc.z_set, desc.weight)
+    return desc.swapped, desc.nucleus, desc.z_set
+
+
+def _nucleus_family(desc: BlockDescriptor, p: Params) -> BlockFamily:
+    """The labelled family built from the nucleus that ``desc`` records."""
+    return _family(p, *_nucleus(desc), desc.weight)
 
 
 def block_family(key: BlockKey, p: Params) -> BlockFamily:
@@ -476,10 +484,7 @@ def block_family(key: BlockKey, p: Params) -> BlockFamily:
 
 
 def nucleus_and_Z(key: BlockKey, p: Params) -> tuple[Bipartition, frozenset[int]]:
-    desc = classify_type(key, p)
-    if desc.nucleus is None:
-        raise ValueError("no nucleus: block is core or of even weight")
-    return desc.nucleus, desc.z_set
+    return _nucleus(classify_type(key, p))[1:]
 
 
 def constructive_members(key: BlockKey, p: Params) -> list[Bipartition]:

@@ -5,8 +5,8 @@ block families and checks them against built-in fixtures.
 The program reads three kinds of JSON document and writes the rest:
 - a bipartition {"comp1", "comp2"} and a block key {"n", "content"}, from
   the command line, each with optional "e", "kappa" and "charp";
-- a matrix {"block", "rows", "cols", "entries", "jBounds", "flags"}, from
-  its own disk cache, beside the solver version and the parameters.
+- a matrix {"block", "rows", "cols", "jBounds"}, from its own disk cache,
+  beside the solver version and the parameters, under a SHA-256 line.
 Every fixture value carries a short provenance tag (see the notes that
 accompany the source distribution).
 """
@@ -128,17 +128,6 @@ def _int_list_field(value, name: str,
     return tuple(value)
 
 
-def _bound_table(doc: dict, rows: int, cols: int) -> tuple[tuple, ...]:
-    """A matrix's jBounds: ``rows`` lists of ``cols`` integers >= 0."""
-    table = _field(doc, "jBounds")
-    if not isinstance(table, list) or len(table) != rows or any(
-            not isinstance(r, list) or len(r) != cols
-            or any(type(j) is not int or j < 0 for j in r) for r in table):
-        raise ValueError(f"field jBounds must be {rows} lists of {cols} "
-                         "integers >= 0")
-    return tuple(map(tuple, table))
-
-
 def _field(doc: dict, name: str, where: str = ""):
     if not isinstance(doc, dict) or name not in doc:
         raise ValueError(f"missing field {where}{name}")
@@ -164,18 +153,19 @@ def _parse_key_fields(doc: dict, where: str = "") -> BlockKey:
 
 
 def _parse_matrix(doc: dict) -> DecompMatrix:
-    """The matrix of a document that ``_doc`` wrote; a field that is
-    missing, mistyped or out of shape raises ValueError."""
+    """The matrix of a ``_doc`` or cache document. A field that is missing,
+    mistyped or out of shape, or a negative bound, raises ValueError."""
     rows, cols = (tuple(_parse_bip_fields(d, f"{name}.")
                         for d in _list_field(doc, name))
                   for name in ("rows", "cols"))
     key = _parse_key_fields(_field(doc, "block"), "block.")
-    m = DecompMatrix(key, rows, cols, _bound_table(doc, len(rows), len(cols)))
-    # entries and flags derive from jBounds: stored ones must match
-    for name in ("entries", "flags"):
-        if json.dumps(_field(doc, name)) != json.dumps(getattr(m, name)):
-            raise ValueError(f"field {name} disagrees with jBounds")
-    return m
+    table = _field(doc, "jBounds")
+    if not isinstance(table, list) or len(table) != len(rows) or any(
+            not isinstance(r, list) or len(r) != len(cols)
+            or any(type(j) is not int or j < 0 for j in r) for r in table):
+        raise ValueError(f"field jBounds must be {len(rows)} lists of "
+                         f"{len(cols)} integers >= 0")
+    return DecompMatrix(key, rows, cols, tuple(map(tuple, table)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,27 +190,32 @@ def _cache_path(key: BlockKey, p: Params) -> str:
 
 def cached_matrix(key: BlockKey, p: Params) -> DecompMatrix:
     """The block's matrix, read from the content-addressed cache when
-    possible. A cache document is the matrix's document with the solver
-    version, e, kappa and charp beside it, written as one compact JSON line
-    (an indented document reads the same). A file that cannot be read,
-    does not parse as a matrix, holds another block's matrix, or records
-    another version or other parameters, is a miss and is overwritten; a
-    failed write raises ValueError and leaves no temporary file."""
+    possible. A cache file is the SHA-256 hex digest of its second line,
+    then that line: the compact JSON of the solver version, e, kappa, charp,
+    block, rows, cols and jBounds. A file that fails its digest (as older
+    layouts do), or that is not this block's matrix at this version and
+    these parameters, is a miss and is overwritten; a failed write raises
+    ValueError and leaves no temporary file."""
     path, stamp = _cache_path(key, p), _cache_stamp(p)
     with contextlib.suppress(OSError, ValueError):
         with open(path, encoding="utf-8") as fh:
-            doc = _load_doc(fh.read())
-        # json.dumps tells true from 1, which == does not
-        if (json.dumps([doc.get(f) for f in stamp])
-                == json.dumps(list(stamp.values()))
-                and (cached := _parse_matrix(doc)).block == key):
-            return cached
+            digest, _, text = fh.read().partition("\n")
+        if digest == hashlib.sha256(text.encode()).hexdigest():
+            doc = _load_doc(text)
+            # json.dumps tells true from 1, which == does not
+            if (json.dumps([doc.get(f) for f in stamp])
+                    == json.dumps(list(stamp.values()))
+                    and (cached := _parse_matrix(doc)).block == key):
+                return cached
     matrix = decomposition_matrix(key, p)
+    doc = {**stamp, **_doc(matrix)}
+    del doc["entries"], doc["flags"]  # both derive from jBounds
+    text = json.dumps(doc)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({**stamp, **_doc(matrix)}))
+            fh.write(f"{hashlib.sha256(text.encode()).hexdigest()}\n{text}")
         os.replace(tmp, path)  # last writer wins; content is identical anyway
     except OSError as exc:
         with contextlib.suppress(OSError):

@@ -510,7 +510,8 @@ class TestCommands:
         "[2,3,3,2,0]": "malformed block: content has 5 entries, not e = 4",
         "[2,3,-1,6]": "malformed block: content has a negative entry",
         "[2,3,3,3]": "malformed block: content sums to 11, not n = 10",
-        "[10,0,0,0]": "empty block: no bipartition has this content",
+        "[10,0,0,0]": "empty block: no bipartition of n = 10 has content "
+                      "[10, 0, 0, 0]",
     }
 
     @pytest.mark.parametrize("content", list(KEY_ERRORS))
@@ -655,9 +656,16 @@ class TestCache:
     H5KEY = block_key(bip((), (2, 1, 1, 1)), H5)[0]
 
     def _cache_doc(self, key) -> dict:
-        """The cache document of ``key``'s matrix at H5's parameters."""
-        return {**_cache_stamp(self.H5),
-                **json.loads(serialize(decomposition_matrix(key, self.H5)))}
+        """The cache payload of ``key``'s matrix at H5's parameters: the
+        matrix document without its entries and flags, beside the stamp."""
+        doc = json.loads(serialize(decomposition_matrix(key, self.H5)))
+        del doc["entries"], doc["flags"]
+        return {**_cache_stamp(self.H5), **doc}
+
+    @staticmethod
+    def _digested(payload: str) -> str:
+        """A cache file: the SHA-256 hex digest of ``payload``, then it."""
+        return hashlib.sha256(payload.encode()).hexdigest() + "\n" + payload
 
     def _decomp_over(self, tmp_path, text):
         """decomp of H5DOC with ``text`` already in its cache file."""
@@ -667,15 +675,16 @@ class TestCache:
         plain = run("decomp", "--bip", H5DOC, "--no-cache")
         assert res.exit_code == 0
         assert res.output == plain.output
-        # the miss was recomputed and written over the bad file, as one
-        # compact line
+        # the miss was recomputed and written over the bad file: a digest
+        # line, then the compact payload
         assert path.read_text(encoding="utf-8") == \
-            json.dumps(self._cache_doc(self.H5KEY))
+            self._digested(json.dumps(self._cache_doc(self.H5KEY)))
 
     def test_indented_file_is_a_hit(self, tmp_path, monkeypatch):
-        # earlier versions wrote the cache document with indent=2
+        # the digest covers the text after the first line, so an indented
+        # payload under its own digest reads the same as a compact one
         path = tmp_path / os.path.basename(_cache_path(self.H5KEY, self.H5))
-        text = serialize(self._cache_doc(self.H5KEY))
+        text = self._digested(serialize(self._cache_doc(self.H5KEY)))
         path.write_text(text, encoding="utf-8")
         plain = run("decomp", "--bip", H5DOC, "--no-cache")
 
@@ -687,19 +696,33 @@ class TestCache:
         assert res.output == plain.output
         assert path.read_text(encoding="utf-8") == text
 
+    # the layouts written before the digest: the full matrix document with
+    # its stamp, as one compact line and indented; same version, same path
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_old_layout_file_is_rewritten(self, tmp_path, indent):
+        doc = json.loads(serialize(decomposition_matrix(self.H5KEY,
+                                                        self.H5)))
+        self._decomp_over(tmp_path, json.dumps(
+            {**_cache_stamp(self.H5), **doc}, indent=indent))
+
     def test_cache_document_records_its_parameters(self, tmp_path):
         run("decomp", "--bip", H5DOC, env={CACHE_ENV: str(tmp_path)})
         (path,) = tmp_path.glob("*.json")
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        digest, payload = path.read_text(encoding="utf-8").split("\n")
+        assert digest == hashlib.sha256(payload.encode()).hexdigest()
+        doc = json.loads(payload)
+        assert list(doc) == ["version", "e", "kappa", "charp", "block",
+                             "rows", "cols", "jBounds"]
         assert (doc["version"], doc["e"], doc["kappa"], doc["charp"]) == \
             (cli.SOLVER_VERSION, 2, [1, 1], 0)
 
     def test_other_blocks_matrix_is_a_miss(self, tmp_path):
         other = block_key(bip((1,), ()), self.H5)[0]
-        self._decomp_over(tmp_path, json.dumps(self._cache_doc(other)))
+        self._decomp_over(tmp_path,
+                          self._digested(json.dumps(self._cache_doc(other))))
 
     def test_truncated_file_is_a_miss(self, tmp_path):
-        full = serialize(self._cache_doc(self.H5KEY))
+        full = self._digested(json.dumps(self._cache_doc(self.H5KEY)))
         self._decomp_over(tmp_path, full[:len(full) // 2])
 
     # the parent's cache document was the bare matrix: no stamp at all
@@ -712,7 +735,7 @@ class TestCache:
             del doc[field]
         else:
             doc[field] = value
-        self._decomp_over(tmp_path, json.dumps(doc))
+        self._decomp_over(tmp_path, self._digested(json.dumps(doc)))
 
     def test_other_charp_file_is_a_miss(self, tmp_path, monkeypatch):
         # a block's charp 0 file copied to its charp 3 path is not served
@@ -727,31 +750,49 @@ class TestCache:
         assert cached_matrix(self.H5KEY, p3) == \
             decomposition_matrix(self.H5KEY, p3)
         assert solved == [p3]
-        assert json.loads(dst.read_text(encoding="utf-8"))["charp"] == 3
+        payload = dst.read_text(encoding="utf-8").split("\n")[1]
+        assert json.loads(payload)["charp"] == 3
+
+    # altered after the digest was taken; the reader without a digest
+    # served the row (4,1|-) -> (3,2|-) and the bound 2 -> 3, which keeps
+    # its cell's entry 1 and flag "clamped"
+    @pytest.mark.parametrize("alter", ["row", "bound", "digest", "no-digest"])
+    def test_altered_file_is_a_miss(self, tmp_path, alter):
+        doc = self._cache_doc(self.H5KEY)
+        text = self._digested(json.dumps(doc))
+        digest, payload = text.split("\n")
+        if alter == "row":
+            assert doc["rows"][0] == {"comp1": [4, 1], "comp2": []}
+            doc["rows"][0] = {"comp1": [3, 2], "comp2": []}
+        elif alter == "bound":
+            assert doc["jBounds"][1] == [0, 2]
+            doc["jBounds"][1][1] = 3
+        if alter in ("row", "bound"):
+            text = digest + "\n" + json.dumps(doc)
+            # the altered payload passes every check but the digest
+            assert _parse_matrix(doc).block == self.H5KEY
+        elif alter == "digest":
+            flip = "0" if digest[0] != "0" else "1"
+            text = flip + digest[1:] + "\n" + payload
+        else:
+            text = payload
+        self._decomp_over(tmp_path, text)
 
     def test_short_cell_tables_are_a_miss(self, tmp_path):
         doc = self._cache_doc(self.H5KEY)
-        for field in ("entries", "jBounds", "flags"):
-            doc[field].pop()
-        self._decomp_over(tmp_path, json.dumps(doc))
+        doc["jBounds"].pop()
+        self._decomp_over(tmp_path, self._digested(json.dumps(doc)))
 
-    # values int() or str() would read as another matrix: the first cell
-    # holds entry 0, bound 0 and flag "direct"
+    # values int() would read as another bound: the first cell holds 0
     @pytest.mark.parametrize("field, value", [
-        ("entries", 1.9), ("entries", True), ("jBounds", "7"),
-        ("flags", 42), ("flags", "clamp"),
-    ])
+        ("jBounds", "7"), ("jBounds", 1.9), ("jBounds", True)])
     def test_mistyped_cell_is_a_miss(self, tmp_path, field, value):
         doc = self._cache_doc(self.H5KEY)
         doc[field][0][0] = value
-        self._decomp_over(tmp_path, json.dumps(doc))
+        self._decomp_over(tmp_path, self._digested(json.dumps(doc)))
 
-    # well-typed cells that disagree with the cell's bound, and a negative
-    # bound whose entry 0 and flag "direct" agree with it
-    @pytest.mark.parametrize("field, bound, value", [
-        ("entries", 0, 1), ("entries", 2, 0), ("flags", 1, "clamped"),
-        ("flags", 2, "direct"), ("jBounds", 0, -1),
-    ])
+    # a negative bound, in a cell whose bound is 0
+    @pytest.mark.parametrize("field, bound, value", [("jBounds", 0, -1)])
     def test_inconsistent_cell_is_a_miss(self, tmp_path, field, bound,
                                          value):
         doc = self._cache_doc(self.H5KEY)
@@ -760,7 +801,7 @@ class TestCache:
         doc[field][r][c] = value
         with pytest.raises(ValueError):
             _parse_matrix(doc)
-        self._decomp_over(tmp_path, json.dumps(doc))
+        self._decomp_over(tmp_path, self._digested(json.dumps(doc)))
 
     # a regular file above the cache directory, and a directory at the
     # entry's path: reading is a miss and writing an error

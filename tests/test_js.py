@@ -531,3 +531,41 @@ class TestDoubleRemovableColumns:
         for lam in mat.rows:
             for col in mat.cols:
                 assert mat.entry(lam, col) in (0, 1)
+
+
+def test_matrix_does_not_depend_on_the_characteristic(monkeypatch):
+    """On the 34 catalogue blocks and the type-III ladder at window
+    (0,1,1,2,3) for e = 5 and 7, the matrix at each charp 2 and 3 that
+    ``Params.make`` allows equals the charp 0 matrix. The reason on this
+    range: every same-component hook pair of these tables has its hands
+    exactly e apart (k = 1), and the characteristic multiplier needs
+    charp | k. About 0.5 s on a 2-vCPU host."""
+    from bipblocks.cli import CASES
+
+    ks = []
+
+    def spy(L, N, p, valuation=js._pair_valuation):
+        if L.component == N.component:
+            ks.append(abs((L.hand.col - L.hand.row)
+                          - (N.hand.col - N.hand.row)) // p.e)
+        return valuation(L, N, p)
+
+    monkeypatch.setattr(js, "_pair_valuation", spy)
+    families = [family_from_type_params(c.block_type, c.default_e,
+                                        c.default_window)
+                for c in CASES.values()]
+    families += [family_from_type_params("III", e, (0, 1, 1, 2, 3))
+                 for e in (5, 7)]
+    compared = 0
+    for fam in families:
+        members, p = fam.members(), fam.params
+        want = matrix_from_members(members, p)
+        for charp in (2, 3):
+            if p.e % charp:
+                got = matrix_from_members(
+                    members, Params.make(p.e, p.kappa, charp))
+                assert (got.rows, got.cols, got.jbounds) == \
+                    (want.rows, want.cols, want.jbounds), (p.e, charp)
+                compared += 1
+    assert compared == 47  # 43 catalogue matrices and 4 on the ladder
+    assert ks and set(ks) == {1}, sorted(set(ks))

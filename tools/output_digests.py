@@ -12,14 +12,17 @@ compares their outputs:
 - ``decomp --no-cache``, ``js order``, ``block info`` and
   ``block exceptional`` on the type-III block at the window (0,1,1,2,3)
   for e = 5, 7, 9 and 11;
+- ``decomp`` through the cache on the same blocks, twice per rung and
+  format under a cache directory of their own: the first run solves and
+  writes the cache file, the second reads it back;
 - every ``$ bipblocks`` example in this checkout's README, the cached
   ``decomp`` under an empty cache directory.
 
 Each command runs in both formats where it has two, in one in-process
-``click.testing.CliRunner`` run. Its entry holds the exit status and the
-SHA-256 of the output, stderr included; the first 16 hex digits of the
-``verify --all`` json digest are the ones ``tests/test_cli.py`` pins. It
-takes about 5 s on a 2-vCPU host.
+``click.testing.CliRunner`` run, in the order listed. Its entry holds the
+exit status and the SHA-256 of the output, stderr included; the first 16
+hex digits of the ``verify --all`` json digest are the ones
+``tests/test_cli.py`` pins. It takes about 5 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -55,17 +58,18 @@ def readme_examples(path: str) -> list[list[str]]:
     return out
 
 
-def commands() -> dict[str, list[str]]:
-    """Every command to digest, by a readable name."""
+def commands() -> dict[str, tuple[list[str], str]]:
+    """Every command to digest, by a readable name, with the directory
+    under the temporary cache root that it runs in ("" for the root)."""
     from bipblocks.blocks import block_key, family_from_type_params
     from bipblocks.cli import CASES
 
     out = {}
     for fmt in FORMATS:
-        out[f"verify --all {fmt}"] = ["verify", "--all", "--format", fmt]
+        out[f"verify --all {fmt}"] = ["verify", "--all", "--format", fmt], ""
         for case_id in sorted(CASES):
             out[f"verify --case {case_id} {fmt}"] = [
-                "verify", "--case", case_id, "--format", fmt]
+                "verify", "--case", case_id, "--format", fmt], ""
     for e in LADDER:
         fam = family_from_type_params("III", e, WINDOW)
         p = fam.params
@@ -76,10 +80,14 @@ def commands() -> dict[str, list[str]]:
                      ["block", "info"], ["block", "exceptional"]):
             for fmt in FORMATS:
                 out[f"ladder e={e} {' '.join(verb)} {fmt}"] = [
-                    *verb, "--block", doc, "--format", fmt]
+                    *verb, "--block", doc, "--format", fmt], ""
+        for fmt in FORMATS:
+            for run in ("write", "read"):
+                out[f"ladder e={e} decomp cached {run} {fmt}"] = [
+                    "decomp", "--block", doc, "--format", fmt], f"e{e}-{fmt}"
     for n, args in enumerate(readme_examples(os.path.join(ROOT,
                                                           "README.md"))):
-        out[f"readme {n} {' '.join(args[:2])}"] = args
+        out[f"readme {n} {' '.join(args[:2])}"] = args, ""
     return out
 
 
@@ -94,9 +102,9 @@ def main() -> None:
 
     digests = {}
     with tempfile.TemporaryDirectory() as cache:
-        runner = CliRunner(env={CACHE_ENV: cache})
-        for name, argv in commands().items():
-            res = runner.invoke(cli_main, argv)
+        for name, (argv, sub) in commands().items():
+            res = CliRunner(env={CACHE_ENV: os.path.join(cache, sub)}).invoke(
+                cli_main, argv)
             if res.exception is not None and not isinstance(res.exception,
                                                             SystemExit):
                 raise res.exception
