@@ -4,7 +4,8 @@ decomposition-matrix solver for blocks of weight at most three.
 Two bipartitions are connected by a hook pair when removing one rim hook
 from each leaves the same bipartition and the hook hands share a residue.
 Each pair carries a sign and an integer valuation, and summing them gives
-the coefficient that feeds the column-by-column bound recursion.
+the coefficient that feeds the column-by-column bound recursion. The
+solver's table joins hooks on integer bead masks and builds no ``RimHook``.
 """
 
 from __future__ import annotations
@@ -45,18 +46,12 @@ def _hook_data(b: Bipartition) -> list[RimHook]:
     return rim_hooks(b)
 
 
-def _pair_valuation(L: RimHook, N: RimHook, p: Params) -> int:
-    """The valuation of a hook pair. Callers pair only hooks whose hands
-    share a residue, so hands in one component differ by a multiple of e."""
-    hl, hn = L.hand, N.hand
-    if L.component != N.component:
-        return 1
-    offset = (hl.col - hl.row) - (hn.col - hn.row)
+def _valuation(offset: int, p: Params) -> int:
+    """The valuation of two same-component hooks with hands ``offset``
+    contents apart: 1, or the largest power of charp > 0 dividing offset/e."""
     k = abs(offset) // p.e
     if k == 0:
-        raise InvariantError(
-            f"hook-pair valuation: hooks {L.nodes} and {N.nodes} share the "
-            f"hand {hl}, which forces equal bipartitions")
+        raise InvariantError("hook-pair valuation: two hooks share a hand")
     if p.charp == 0:
         return 1
     mult = 1
@@ -68,6 +63,13 @@ def _pair_valuation(L: RimHook, N: RimHook, p: Params) -> int:
             f"valuation {mult} at offset {offset} depends on the "
             f"characteristic {p.charp}", CharacteristicWarning)
     return mult
+
+
+def _pair_valuation(L: RimHook, N: RimHook, p: Params) -> int:
+    """The valuation of a hook pair whose hands share a residue."""
+    if L.component != N.component:
+        return 1
+    return _valuation(L.hand.col - L.hand.row - N.hand.col + N.hand.row, p)
 
 
 def _epsilon(L: RimHook, N: RimHook) -> int:
@@ -108,26 +110,49 @@ def js_valuation(lam: Bipartition, nu: Bipartition, p: Params) -> int:
     return signed_sum(dominating_pairs(lam, nu, p))
 
 
-def _valuation_table(members, keys, p: Params) -> dict:
-    """The nonzero signed valuation sums {(i, j): v} of the dominating
-    pairs of members, i < j: ``members`` in canonical order (most dominant
-    first) and ``keys`` their dominance keys.
+def _valuation_table(members, p: Params) -> dict:
+    """The nonzero signed valuation sums {(i, j): v}, i < j, of the hook
+    pairs of ``members``, a block in canonical order (most dominant first).
 
-    A hash join: every hook is bucketed under (its rest, hand residue), and
-    hooks are paired only within a bucket. Dominance is tested on the keys
-    before any valuation of a member pair is taken.
+    A join on bead masks, with k >= n beads per component. A hook of
+    component a moves a bead x of {part_r + k - r} to a free y < x; its
+    rest is the member's masks with bits x and y of a flipped, its hand
+    content x - k, its leg the beads between y and x. Hooks of one rest and
+    hand residue pair up, with epsilon the legs' parity and valuation 1
+    across components, else ``_valuation`` of the hand contents.
+
+    A bucket holds at most one hook per member, in member order, since a
+    rest and its hook give back the member. Both members are a rest rho
+    plus an L-hook, and the first dominates: in one component the hooks move
+    beads y -> y+L and y' -> y'+L of rho, y > y', and {y+L, y'} majorizes
+    {y'+L, y} whatever the common beads; a component-1 hook dominates a
+    component-2 one through the interleaved key; and lexicographic order
+    refines dominance. So no dominance is tested.
     """
+    k = max((b.size for b in members), default=0)
     buckets = defaultdict(list)
-    for i, m in enumerate(members):
-        for h in _hook_data(m):
-            buckets[(h.rest, residue(h.hand, p))].append((i, h))
+    for i, b in enumerate(members):
+        beads = [[q + k - r for r, q in enumerate(part, 1)] for part in b]
+        # places below k - len hold beads; component 2 sits 2k places up
+        whole = sum(sum((1 << x for x in bs), (1 << k - len(bs)) - 1) << s
+                    for bs, s in zip(beads, (0, 2 * k)))
+        for a, bs, s, kappa in zip((1, 2), beads, (0, 2 * k), p.kappa):
+            for r, x in enumerate(bs, 1):
+                res, moved, leg = (x - k + kappa) % p.e, whole ^ 1 << x + s, 0
+                for y in range(x - 1, k - len(bs) - 1, -1):
+                    if r + leg < len(bs) and bs[r + leg] == y:
+                        leg += 1
+                    else:
+                        buckets[moved | 1 << y + s, res].append(
+                            (i, a, leg, x - k))
     sums = defaultdict(int)
-    for bucket in buckets.values():
-        # a rest and its hook give back the member, so a bucket
-        # holds at most one hook per member, in member order: i < j
-        for (i, L), (j, N) in combinations(bucket, 2):
-            if all(map(ge, keys[i], keys[j])):
-                sums[i, j] += _epsilon(L, N) * _pair_valuation(L, N, p)
+    try:
+        for bucket in buckets.values():
+            for (i, a, l1, c1), (j, b, l2, c2) in combinations(bucket, 2):
+                v = _valuation(c1 - c2, p) if a == b else 1
+                sums[i, j] += -v if (l1 - l2) % 2 else v
+    except InvariantError as err:
+        raise InvariantError(f"{err}: {members[i]} and {members[j]}") from None
     return {ij: v for ij, v in sums.items() if v}
 
 
@@ -145,11 +170,11 @@ class JSOrder:
 
 
 def order_from_members(members, p: Params) -> JSOrder:
-    members, keys = ranked(members)
+    members = ranked(members)[0]
     below = [set() for _ in members]
     # steps of later rows first: every step runs down the canonical order,
     # so none closes a cycle and each successor's set is already complete
-    for i, j in sorted(_valuation_table(members, keys, p), reverse=True):
+    for i, j in sorted(_valuation_table(members, p), reverse=True):
         if j <= i:
             raise InvariantError(
                 f"refined order: the step {members[i]} -> {members[j]} runs "
@@ -241,7 +266,7 @@ def _solve(rows, keys, key: BlockKey, p: Params) -> DecompMatrix:
     at = [r for r, m in enumerate(rows) if is_restricted(m, p)[0]]
     # group the table by dominated row, the row a column solve pushes from
     by_col = [[] for _ in rows]
-    for (i, j), v in _valuation_table(rows, keys, p).items():
+    for (i, j), v in _valuation_table(rows, p).items():
         by_col[j].append((i, v))
     table = [[0] * len(at) for _ in rows]
     for c, r in enumerate(at):

@@ -1,6 +1,9 @@
 """Shared strategies and cached enumerations for the test suite."""
 
+from collections import defaultdict
 from functools import lru_cache
+from itertools import combinations
+from operator import ge
 
 from hypothesis import strategies as st
 
@@ -16,7 +19,7 @@ from bipblocks.blocks import (
 )
 from bipblocks.crystal import StripTrace, is_restricted, signature
 from bipblocks import js
-from bipblocks.js import HookPair, _valuation_table
+from bipblocks.js import HookPair
 
 
 @lru_cache(maxsize=None)
@@ -134,9 +137,29 @@ def dominates_by_rows(a: Bipartition, b: Bipartition) -> bool:
     return all(x >= y for x, y in zip(pa, pb))
 
 
+# The join that js._valuation_table replaced by one on bead masks, kept as
+# its oracle: each member's RimHooks are bucketed under (rest, hand
+# residue), and a bucket pair is valued only when its first member
+# dominates, a test the mask join proves needless.
+
+def valuation_table_by_hooks(members, p: Params) -> dict:
+    keys = [dominance_key(m) for m in members]
+    buckets = defaultdict(list)
+    for i, m in enumerate(members):
+        for h in js._hook_data(m):
+            buckets[(h.rest, residue(h.hand, p))].append((i, h))
+    sums = defaultdict(int)
+    for bucket in buckets.values():
+        for (i, L), (j, N) in combinations(bucket, 2):
+            if all(map(ge, keys[i], keys[j])):
+                sums[i, j] += js._epsilon(L, N) * js._pair_valuation(L, N, p)
+    return {ij: v for ij, v in sums.items() if v}
+
+
 # The solver that js.matrix_from_members replaced, kept as its oracle: it
 # keys the table and each column by bipartition, solves every row of every
-# column, and tests each nonzero bound with core.dominates.
+# column, and tests each nonzero bound with core.dominates. Its table is
+# the RimHook join above.
 
 def _solve_column_by_bips(ascending, by_row, mu):
     dn, bounds, flags = {}, {}, {}
@@ -163,8 +186,7 @@ def matrix_by_bips(members, p: Params):
     rows = tuple(canonical_sort(members))
     cols = tuple(m for m in rows if is_restricted(m, p)[0])
     by_row = {m: {} for m in rows}
-    keys = [dominance_key(m) for m in rows]
-    for (i, j), v in _valuation_table(rows, keys, p).items():
+    for (i, j), v in valuation_table_by_hooks(rows, p).items():
         by_row[rows[i]][rows[j]] = v
     ascending = tuple(reversed(rows))
     solved = [_solve_column_by_bips(ascending, by_row, mu) for mu in cols]

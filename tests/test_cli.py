@@ -1034,11 +1034,15 @@ def test_benchmark_bindings_are_traced():
     script = textwrap.dedent("""
         import json
         import spans
-        from bipblocks import blocks, cli
-        from bipblocks.core import Params
+        from bipblocks import blocks, cli, js
+        from bipblocks.core import Params, bip
         tracer = spans.Tracer()
         spans.instrument(tracer)
         cli.verify_case(cli.CASES["IV-e2-H5"])
+        # the solver's table builds no RimHook: single pairs still read
+        # js._hook_data and js.rim_hooks
+        js.hook_pairs(bip((3,), ()), bip((1, 1, 1), ()),
+                      Params.make(3, (0, 0)))
         # a non-core weight-3 block, keyed without a traced call
         desc = blocks.classify_type(blocks.BlockKey(10, (2, 3, 3, 2)),
                                     Params.make(4, (0, 3)))
