@@ -131,8 +131,8 @@ def _valuation_table(members, p: Params) -> dict:
     """
     k = max((b.size for b in members), default=0)
     buckets = defaultdict(list)
-    for i, b in enumerate(members):
-        beads = [[q + k - r for r, q in enumerate(part, 1)] for part in b]
+    for i, m in enumerate(members):
+        beads = [[q + k - r for r, q in enumerate(part, 1)] for part in m]
         # places below k - len hold beads; component 2 sits 2k places up
         whole = sum(sum((1 << x for x in bs), (1 << k - len(bs)) - 1) << s
                     for bs, s in zip(beads, (0, 2 * k)))
@@ -148,8 +148,8 @@ def _valuation_table(members, p: Params) -> dict:
     sums = defaultdict(int)
     try:
         for bucket in buckets.values():
-            for (i, a, l1, c1), (j, b, l2, c2) in combinations(bucket, 2):
-                v = _valuation(c1 - c2, p) if a == b else 1
+            for (i, a1, l1, c1), (j, a2, l2, c2) in combinations(bucket, 2):
+                v = _valuation(c1 - c2, p) if a1 == a2 else 1
                 sums[i, j] += -v if (l1 - l2) % 2 else v
     except InvariantError as err:
         raise InvariantError(f"{err}: {members[i]} and {members[j]}") from None
