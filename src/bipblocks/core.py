@@ -1,7 +1,9 @@
 """Partitions, bipartitions, Young diagrams, residues, dominance and rim hooks.
 
 Everything here is an immutable value. All functions are pure, except
-``remove_cell``, which edits the part lists and corner entries it is given.
+``remove_cell``, which edits the part lists and corner codes it is given.
+One row walk, ``corner_codes``, reads the addable and removable cells of a
+bipartition as integer codes; ``corners`` and ``code_cell`` decode them.
 """
 
 from __future__ import annotations
@@ -86,11 +88,13 @@ class Partition(tuple):
         return self[r - 1] if 1 <= r <= len(self) else 0
 
     def conjugate(self) -> "Partition":
-        if not self:
-            return Partition()
-        # the conjugate of a valid partition is valid
-        return Partition._of([sum(1 for p in self if p >= c)
-                              for c in range(1, self[0] + 1)])
+        # bottom row up: the columns that end in row r are those past the
+        # row below. The conjugate of a valid partition is valid.
+        out, below = [], 0
+        for r in range(len(self), 0, -1):
+            out += [r] * (self[r - 1] - below)
+            below = self[r - 1]
+        return Partition._of(out)
 
 
 EMPTY = Partition()
@@ -176,57 +180,81 @@ def canonical_sort(bips) -> list[Bipartition]:
     return list(ranked(bips)[0])
 
 
-def corners(comps, p: Params) -> list[tuple[int, int, int, int, str]]:
-    """Every addable ("+") and removable ("-") cell of two part sequences
-    (a bipartition or two lists), in reading order (component, then row):
-    (component, row, col, residue, sign). Row r - 1 has a removable cell
-    exactly when it is longer than row r, and then row r has an addable one.
-    The two cells of one row differ in residue, so the entries of one
-    residue sort in reading order as tuples."""
-    out = []
-    for a, (parts, k) in enumerate(zip(comps, p.kappa), start=1):
+def corner_codes(comps, p: Params) -> tuple[int, list[list[int]]]:
+    """The addable and removable cells of two part sequences (a bipartition
+    or two lists) as (off, codes), codes[i] listing the residue-i cells in
+    reading order. Row r of component a codes as 2 * (r + off_a) + s: s is
+    1 for a removable ("-") cell, 0 for an addable ("+") one; off_1 = 0 and
+    off_2 = off = len(comps[0]) + 2, which holds while the parts shrink.
+    Row r - 1 has a removable cell exactly when it is longer than row r,
+    and then row r has an addable one, of another residue."""
+    e, off = p.e, len(comps[0]) + 2
+    codes = [[] for _ in range(e)]
+    for base, parts, k in zip((0, off), comps, p.kappa):
+        k += base  # rows counted from base + 1 keep the residue k + c - r
         above = None  # the part of row r - 1
-        for r, x in enumerate((*parts, 0), start=1):
+        for r, x in enumerate((*parts, 0), start=base + 1):
             if above is None or above > x:
                 if above:
-                    out.append((a, r - 1, above, (k + above + 1 - r) % p.e,
-                                "-"))
-                out.append((a, r, x + 1, (k + x + 1 - r) % p.e, "+"))
+                    codes[(k + above + 1 - r) % e].append(2 * r - 1)
+                codes[(k + x + 1 - r) % e].append(2 * r)
             above = x
-    return out
+    return off, codes
 
 
-def remove_cell(comps, signs, a: int, r: int, c: int, p: Params) -> None:
-    """Remove the cell (r, c) that ends row r of component a from two part
-    lists, in place, and edit ``signs``, the ``corners`` entries of comps
-    grouped by residue, to the entries of the smaller lists. With i the
-    cell's residue, one entry in each of the residues i, i + 1 and i - 1
-    changes:
+def code_cell(comps, off: int, code: int) -> tuple[int, int, int]:
+    """The cell (row, col, component) of a ``corner_codes`` code of comps."""
+    r, a = code >> 1, 1
+    if r >= off:
+        r, a = r - off, 2
+    parts = comps[a - 1]
+    c = parts[r - 1] if r <= len(parts) else 0
+    return r, c if code & 1 else c + 1, a
 
-    - residue i: the removable cell (r, c) becomes the addable cell (r, c);
-    - residue i + 1: the addable cell (r, c + 1) goes if r = 1 or row
-      r - 1 is longer than c; otherwise row r - 1 ends in a removable cell
-      (r - 1, c);
-    - residue i - 1: the addable cell (r + 1, c) goes if row r + 1 has
-      c - 1 cells; otherwise the removable cell (r, c - 1) comes in.
 
-    The rows around row r keep their parts, so nothing else changes. An
-    entry is found by bisection on its (component, row)."""
-    parts, e = comps[a - 1], p.e
-    i = (p.kappa[a - 1] + c - r) % e
-    sig = signs[i]
-    sig[bisect_left(sig, (a, r))] = (a, r, c, i, "+")
-    up, down = (i + 1) % e, (i - 1) % e
-    sig = signs[up]
+def corners(comps, p: Params) -> list[tuple[int, int, int, int, str]]:
+    """The cells of ``corner_codes`` decoded, in reading order:
+    (component, row, col, residue, sign), sign "+" or "-"."""
+    off, codes = corner_codes(comps, p)
+    cells = sorted((code, i) for i, sig in enumerate(codes) for code in sig)
+    return [(a, r, c, i, "-" if code & 1 else "+")
+            for code, i in cells for r, c, a in [code_cell(comps, off, code)]]
+
+
+def remove_cell(comps, codes, off: int, code: int, p: Params) -> None:
+    """Remove the removable cell of ``corner_codes`` code from two part
+    lists, in place, and edit ``codes``, the codes of comps by residue, to
+    those of the smaller lists. With (r, c) the cell and i its residue,
+    one code in each of the residues i, i + 1 and i - 1 changes:
+
+    - i: the removable (r, c) becomes the addable (r, c), code - 1;
+    - i + 1: the addable (r, c + 1), code - 1, goes if r = 1 or row r - 1
+      is longer than c; else the removable (r - 1, c), code - 2, comes in;
+    - i - 1: the addable (r + 1, c), code + 1, goes if row r + 1 has c - 1
+      cells; else the removable (r, c - 1), code, comes in.
+
+    Nothing else changes. Codes are found by bisection on ints."""
+    # code_cell inline: a strip makes one call per step
+    e, r = len(codes), code >> 1
+    if r < off:
+        parts, k = comps[0], p.kappa[0]
+    else:
+        r -= off
+        parts, k = comps[1], p.kappa[1]
+    c = parts[r - 1]
+    i = (k + c - r) % e
+    sig = codes[i]
+    sig[bisect_left(sig, code)] = code - 1
+    sig = codes[(i + 1) % e]
     if r == 1 or parts[r - 2] > c:
-        del sig[bisect_left(sig, (a, r))]
+        del sig[bisect_left(sig, code - 1)]
     else:
-        insort(sig, (a, r - 1, c, up, "-"))
-    sig = signs[down]
+        insort(sig, code - 2)
+    sig = codes[(i - 1) % e]
     if (parts[r] if r < len(parts) else 0) == c - 1:
-        del sig[bisect_left(sig, (a, r + 1))]
+        del sig[bisect_left(sig, code + 1)]
     else:
-        insort(sig, (a, r, c - 1, down, "-"))
+        insort(sig, code)
     parts[r - 1] -= 1
     if not parts[r - 1]:
         parts.pop()

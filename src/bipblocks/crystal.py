@@ -10,13 +10,14 @@ Conjugation reverses the reading order, so the antigood nodes of b are the
 good nodes of its conjugate: b is regular exactly when conjugate(b) is
 restricted under the same parameters.
 
-The good-node strip reads the raw signatures of every residue from one
-``core.corners`` scan and keeps them from step to step: removing an i-node
-edits one entry in each of the residues i - 1, i and i + 1
-(``core.remove_cell``), and only those three are cancelled again. The
-reading order and the residues of the cells stay in ``core``; this module
-does the cancellation. ``signature`` scans afresh for the full report of
-one residue, which the diamond's walk back and the tests read.
+The good-node strip reads the raw signatures of every residue, as sorted
+integer codes, from one ``core.corner_codes`` walk and keeps them from
+step to step: removing an i-node edits one code in each of the residues
+i - 1, i and i + 1 (``core.remove_cell``), and only those three are
+cancelled again. The reading order, the residues of the cells and the
+code stay in ``core``; this module does the cancellation. ``signature``
+walks afresh and decodes one residue into cells for its full report,
+which the diamond's walk back and the tests read.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional
 
 from .core import (
     EMPTY_BIP, Bipartition, InvariantError, Node, Params, Partition,
-    add_node, conjugate, corners, remove_cell,
+    add_node, code_cell, conjugate, corner_codes, remove_cell,
 )
 # Bound but not called: perfbench/spans.py::instrument wraps these names in
 # this module, and test_benchmark_bindings_are_traced fails if one is gone.
@@ -76,19 +77,11 @@ def _cancel(raw, first: str, second: str):
     return tuple(out)
 
 
-def _raw_signatures(comps, p: Params) -> list[list[tuple]]:
-    """The raw i-signature of every residue i, from one corner scan: the
-    ``corners`` entries of residue i, in reading order."""
-    raw = [[] for _ in range(p.e)]
-    for entry in corners(comps, p):
-        raw[entry[3]].append(entry)
-    return raw
-
-
 def signature(b: Bipartition, i: int, p: Params) -> SignatureReport:
     i %= p.e
-    raw = tuple((Node(r, c, a), s)
-                for a, r, c, _, s in _raw_signatures(b, p)[i])
+    off, codes = corner_codes(b, p)
+    raw = tuple((Node(*code_cell(b, off, code)), "-" if code & 1 else "+")
+                for code in codes[i])
     reduced = _cancel(raw, "-", "+")
     antireduced = _cancel(raw, "+", "-")
     normal = tuple(nd for nd, s in reduced if s == "-")
@@ -105,42 +98,39 @@ def signature(b: Bipartition, i: int, p: Params) -> SignatureReport:
         anticogood=anticonormal[0] if anticonormal else None)
 
 
-def _good(raw):
-    """The good node of a raw signature: the first "-" entry left after
-    "-+" cancellation. A stack keeps the uncancelled "-" entries; each "+"
-    entry cancels the latest one."""
-    left = []
-    for entry in raw:
-        if entry[4] == "-":
-            left.append(entry)
-        elif left:
-            left.pop()
-    return left[0] if left else None
-
-
 def is_restricted(b: Bipartition, p: Params) -> tuple[bool, StripTrace]:
     """Strip good nodes as long as any exist; restricted means the empty
     bipartition is reached. Each step removes the good node of the
     smallest residue that has one.
 
-    One corner scan reads the raw signatures, and the strip keeps them.
-    Removing an i-node changes one entry in each of the residues i - 1, i
-    and i + 1, which ``core.remove_cell`` edits, so a step cancels only
-    those three signatures again."""
+    One ``core.corner_codes`` walk reads the raw signatures, and the strip
+    keeps them: ``core.remove_cell`` edits the residues i - 1, i and i + 1
+    of a removed i-node, and a step cancels only those again. The good
+    node is the first odd ("-") code left after "-+" cancellation; of the
+    stack of uncancelled "-" codes only the depth and the bottom are kept."""
     comps = [list(b.comp1), list(b.comp2)]
-    raw = _raw_signatures(comps, p)
-    good = [_good(sig) for sig in raw]
+    off, codes = corner_codes(comps, p)
     e, residues = p.e, []
+    good, todo = [None] * e, range(e)
     while True:
+        for j in todo:
+            depth = 0
+            for code in codes[j]:
+                if code & 1:
+                    if not depth:
+                        bottom = code
+                    depth += 1
+                elif depth:
+                    depth -= 1
+            good[j] = bottom if depth else None
         for i, node in enumerate(good):
             if node:
                 break
         else:
             break
-        remove_cell(comps, raw, node[0], node[1], node[2], p)
-        for j in (i - 1, i, i + 1):
-            good[j % e] = _good(raw[j % e])
+        remove_cell(comps, codes, off, node, p)
         residues.append(i)
+        todo = ((i - 1) % e, i, (i + 1) % e)
     terminal = Bipartition(Partition._of(comps[0]), Partition._of(comps[1]))
     return not any(comps), StripTrace(tuple(residues), terminal)
 

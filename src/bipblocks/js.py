@@ -86,9 +86,13 @@ def _pairs_from_data(data_l, data_n, p: Params) -> list[HookPair]:
 
 
 def hook_pairs(lam: Bipartition, nu: Bipartition, p: Params) -> list[HookPair]:
-    """All single-hook exchanges between two bipartitions of equal size."""
+    """All single-hook exchanges between two different bipartitions of
+    equal size; b with itself is refused before any hook is built."""
     if lam.size != nu.size:
         raise ValueError("sizes must agree")
+    if lam == nu:
+        raise ValueError(f"hook pairs need two different bipartitions, "
+                         f"got {lam} twice")
     return _pairs_from_data(_hook_data(lam), _hook_data(nu), p)
 
 

@@ -29,7 +29,7 @@ from bipblocks.core import (
     dominates,
 )
 from bipblocks.blocks import content_counts, family_from_type_params, weight
-from bipblocks.crystal import _cancel, _raw_signatures, is_restricted
+from bipblocks.crystal import _cancel, is_restricted
 from bipblocks.js import matrix_from_members
 
 ONE = {0: 1}
@@ -105,7 +105,12 @@ def ladder(mu: Bipartition, p: Params) -> list[tuple[int, int]]:
     removes all a normal i-nodes of the smallest residue i that has one."""
     comps, steps = [list(mu.comp1), list(mu.comp2)], []
     while any(comps):
-        for i, raw in enumerate(_raw_signatures(comps, p)):
+        # each residue's ``corners`` entries, grouped here: the strip's
+        # own kept signatures are what this oracle checks
+        raws = [[] for _ in range(p.e)]
+        for entry in corners(comps, p):
+            raws[entry[3]].append(entry)
+        for i, raw in enumerate(raws):
             normal = [x for x in _cancel(raw, "-", "+") if x[4] == "-"]
             if normal:
                 break

@@ -44,8 +44,8 @@ def params_st(max_e=4):
         lambda t: Params.make(t[0], (t[1] % t[0], t[2] % t[0])))
 
 
-# Cell-level definitions: the diagram, conjugation of a cell, and
-# e-restrictedness of one partition.
+# Cell-level definitions: the diagram, conjugation of a cell and of a
+# partition, and e-restrictedness of one partition.
 
 def diagram(b: Bipartition) -> set[Node]:
     return {Node(r, c, a) for a in (1, 2)
@@ -56,6 +56,13 @@ def diagram(b: Bipartition) -> set[Node]:
 def conjugate_node(node: Node) -> Node:
     """Image of a cell under conjugation (transpose, other component)."""
     return Node(node.col, node.row, 3 - node.component)
+
+
+def conjugate_by_columns(part: Partition) -> tuple[int, ...]:
+    """The column lengths of a partition, one count per column: the
+    definition that Partition.conjugate replaced, kept as its oracle."""
+    return tuple(sum(1 for x in part if x >= c)
+                 for c in range(1, (part[0] if part else 0) + 1))
 
 
 def is_e_restricted(part: Partition, e: int) -> bool:

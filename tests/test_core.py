@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from bipblocks.core import (
     Params, Partition, Bipartition, Node, bip, EMPTY_BIP,
     residue, conjugate, dominates, dominance_key,
-    boundary_nodes, corners, remove_cell, rim_hooks,
+    boundary_nodes, corner_codes, corners, remove_cell,
+    rim_hooks,
     partitions, bipartitions,
     add_node, remove_node, canonical_sort,
 )
@@ -16,7 +17,8 @@ from bipblocks.abacus import display, from_display
 from helpers import (
     small_bips, bip_pairs, params_st, bips_of, addable_nodes,
     removable_nodes, dominates_by_rows, partial_sums, is_checked,
-    rim_hooks_by_beta, diagram, conjugate_node, is_e_restricted,
+    rim_hooks_by_beta, diagram, conjugate_node, conjugate_by_columns,
+    is_e_restricted,
 )
 
 
@@ -59,6 +61,13 @@ class TestPartition:
     def test_conjugate(self):
         assert Partition((3, 2, 1, 1)).conjugate() == (4, 2, 1)
         assert Partition(()).conjugate() == ()
+
+    def test_conjugate_against_column_counts(self):
+        # every partition of n <= 15, then tall rows, columns and hooks
+        tall = [(4000,), (1,) * 4000, (60,) + (1,) * 59, (3,) * 50]
+        for q in [*(q for n in range(16) for q in partitions(n)),
+                  *map(Partition, tall)]:
+            assert q.conjugate() == conjugate_by_columns(q), q
 
     def test_conjugate_is_checked(self):
         # the trusted conjugate equals its checked rebuild, n <= 12
@@ -205,11 +214,19 @@ class TestBoundary:
             assert add_node(remove_node(b, nd), nd) == b
 
 
+def code_of(nd: Node, removable: bool, off: int) -> int:
+    """The ``corner_codes`` code of a cell, written from its definition."""
+    return 2 * (nd.row + (off if nd.component == 2 else 0)) + removable
+
+
 class TestCornersOracle:
-    """The corner scan against the diagram definitions of the boundary."""
+    """The corner walk against the diagram definitions of the boundary."""
 
     def test_row_partition(self):
+        # (2|-) at kappa (0, 1): off = 1 + 2, so row 1 of component 2
+        # codes as 2 * 4
         p = Params.make(3, (0, 1))
+        assert corner_codes(bip((2,), ()), p) == (3, [[], [3, 8], [2, 4]])
         assert corners(bip((2,), ()), p) == [
             (1, 1, 3, 2, "+"), (1, 1, 2, 1, "-"), (1, 2, 1, 2, "+"),
             (2, 1, 1, 1, "+")]
@@ -231,13 +248,12 @@ class TestCornersOracle:
                             for nd, r, sign in marks]
                     assert corners(b, p) == want, (b, p)
                     assert corners([list(b.comp1), list(b.comp2)], p) == want
-
-
-def by_residue(scan, e):
-    signs = [[] for _ in range(e)]
-    for entry in scan:
-        signs[entry[3]].append(entry)
-    return signs
+                    off, codes = len(b.comp1) + 2, [[] for _ in range(e)]
+                    for nd, r, sign in marks:
+                        codes[r].append(code_of(nd, sign == "-", off))
+                    assert corner_codes(b, p) == (off, codes), (b, p)
+                    # each residue's codes ascend
+                    assert all(sig == sorted(sig) for sig in codes), (b, p)
 
 
 class TestRemoveCellOracle:
@@ -246,34 +262,36 @@ class TestRemoveCellOracle:
     cell."""
 
     def test_row_partition(self):
-        # removing (1, 2) of (2|-): the removable cell turns addable, the
-        # addable (1, 3) goes, and the removable (1, 1) comes in
+        # removing (1, 2) of (2|-): the removable cell turns addable (code
+        # 3 -> 2 in residue 1), the addable (1, 3) goes (code 2 in residue
+        # 2), and the removable (1, 1) comes in (code 3 in residue 0)
         p = Params.make(3, (0, 1))
         comps = [[2], []]
-        signs = by_residue(corners(comps, p), 3)
-        remove_cell(comps, signs, 1, 1, 2, p)
+        off, codes = corner_codes(comps, p)
+        remove_cell(comps, codes, off, 3, p)
         assert comps == [[1], []]
-        assert signs == [[(1, 1, 1, 0, "-")],
-                         [(1, 1, 2, 1, "+"), (2, 1, 1, 1, "+")],
-                         [(1, 2, 1, 2, "+")]]
+        assert codes == [[3], [2, 8], [4]]
 
     @pytest.mark.parametrize("e", [2, 3, 4, 5])
     def test_every_small_bipartition(self, e):
         def check(big, nd):
             comps = [list(big.comp1), list(big.comp2)]
-            signs = [list(sig) for sig in scans[big]]
-            remove_cell(comps, signs, nd.component, nd.row, nd.col, p)
+            off, codes = corner_codes(comps, p)
+            remove_cell(comps, codes, off, code_of(nd, True, off), p)
             small = remove_node(big, nd)
             assert comps == [list(small.comp1), list(small.comp2)]
-            assert signs == scans[small], (big, nd, p)
+            off_s, want = scans[small]
+            if off_s < off:
+                # component 1 lost its last row: the kept codes keep the
+                # larger offset of component 2
+                want = [[c + 2 if c >> 1 >= off_s else c for c in sig]
+                        for sig in want]
+            assert codes == want, (big, nd, p)
 
         for kappa in product(range(e), repeat=2):
             p = Params.make(e, kappa)
-            scans = {b: by_residue(corners(b, p), e)
+            scans = {b: corner_codes(b, p)
                      for n in range(10) for b in bips_of(n)}
-            for b, signs in scans.items():
-                # the entries of one residue sort in reading order
-                assert all(sig == sorted(sig) for sig in signs), (b, p)
             for n in range(9):
                 for b in bips_of(n):
                     for nd in removable_nodes(b):

@@ -51,6 +51,13 @@ class TestHookPairs:
         with pytest.raises(ValueError, match="sizes"):
             hook_pairs(bip((2,), ()), bip((3,), ()), p)
 
+    def test_same_bipartition_refused(self, monkeypatch):
+        # refused before any hook is built, naming the bipartition
+        monkeypatch.setattr(js, "_hook_data", None)
+        with pytest.raises(ValueError, match=r"\(3,1\|2\) twice$"):
+            hook_pairs(bip((3, 1), (2,)), bip((3, 1), (2,)),
+                       Params.make(3, (0, 0)))
+
     def test_valuation_needs_dominance(self):
         p = Params.make(3, (0, 0))
         with pytest.raises(ValueError, match="dominate"):

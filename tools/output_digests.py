@@ -15,14 +15,19 @@ compares their outputs:
 - ``decomp`` through the cache on the same blocks, twice per rung and
   format under a cache directory of their own: the first run solves and
   writes the cache file, the second reads it back;
+- ``bip restricted``, ``bip info`` and ``bip diamond`` on every member of
+  the blocks at e = 5 and 7, one entry per rung, verb and format; the
+  refusals of ``bip diamond`` print where the good-node strip stops;
 - every ``$ bipblocks`` example in this checkout's README, the cached
   ``decomp`` under an empty cache directory.
 
 Each command runs in both formats where it has two, in one in-process
 ``click.testing.CliRunner`` run, in the order listed. Its entry holds the
-exit status and the SHA-256 of the output, stderr included; the first 16
-hex digits of the ``verify --all`` json digest are the ones
-``tests/test_cli.py`` pins. It takes about 5 s on a 2-vCPU host.
+exit status and the SHA-256 of the output, stderr included; an entry over
+many members holds the largest exit status and the SHA-256 of their
+outputs joined in canonical order. The first 16 hex digits of the
+``verify --all`` json digest are the ones ``tests/test_cli.py`` pins. It
+takes about 8 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ import tempfile
 from bench_entry import LADDER, ROOT, WINDOW
 
 FORMATS = ("json", "table")
+# the rungs whose every member runs the bip verbs
+MEMBER_RUNGS = (5, 7)
 
 
 def readme_examples(path: str) -> list[list[str]]:
@@ -58,18 +65,20 @@ def readme_examples(path: str) -> list[list[str]]:
     return out
 
 
-def commands() -> dict[str, tuple[list[str], str]]:
-    """Every command to digest, by a readable name, with the directory
-    under the temporary cache root that it runs in ("" for the root)."""
+def commands() -> dict[str, tuple[list[list[str]], str]]:
+    """Every command to digest, by a readable name: the argument lists it
+    runs, one per member for a per-member entry, and the directory under
+    the temporary cache root that they run in ("" for the root)."""
     from bipblocks.blocks import block_key, family_from_type_params
     from bipblocks.cli import CASES
 
     out = {}
     for fmt in FORMATS:
-        out[f"verify --all {fmt}"] = ["verify", "--all", "--format", fmt], ""
+        out[f"verify --all {fmt}"] = [["verify", "--all", "--format",
+                                       fmt]], ""
         for case_id in sorted(CASES):
-            out[f"verify --case {case_id} {fmt}"] = [
-                "verify", "--case", case_id, "--format", fmt], ""
+            out[f"verify --case {case_id} {fmt}"] = [[
+                "verify", "--case", case_id, "--format", fmt]], ""
     for e in LADDER:
         fam = family_from_type_params("III", e, WINDOW)
         p = fam.params
@@ -79,15 +88,25 @@ def commands() -> dict[str, tuple[list[str], str]]:
         for verb in (["decomp", "--no-cache"], ["js", "order"],
                      ["block", "info"], ["block", "exceptional"]):
             for fmt in FORMATS:
-                out[f"ladder e={e} {' '.join(verb)} {fmt}"] = [
-                    *verb, "--block", doc, "--format", fmt], ""
+                out[f"ladder e={e} {' '.join(verb)} {fmt}"] = [[
+                    *verb, "--block", doc, "--format", fmt]], ""
         for fmt in FORMATS:
             for run in ("write", "read"):
-                out[f"ladder e={e} decomp cached {run} {fmt}"] = [
-                    "decomp", "--block", doc, "--format", fmt], f"e{e}-{fmt}"
+                out[f"ladder e={e} decomp cached {run} {fmt}"] = [[
+                    "decomp", "--block", doc, "--format", fmt]], f"e{e}-{fmt}"
+        if e not in MEMBER_RUNGS:
+            continue
+        docs = [json.dumps({"e": p.e, "kappa": list(p.kappa), "charp": 0,
+                            "comp1": list(b.comp1), "comp2": list(b.comp2)})
+                for b in fam.members()]
+        for verb in ("restricted", "info", "diamond"):
+            for fmt in FORMATS:
+                out[f"ladder e={e} members bip {verb} {fmt}"] = [
+                    ["bip", verb, "--bip", d, "--format", fmt]
+                    for d in docs], ""
     for n, args in enumerate(readme_examples(os.path.join(ROOT,
                                                           "README.md"))):
-        out[f"readme {n} {' '.join(args[:2])}"] = args, ""
+        out[f"readme {n} {' '.join(args[:2])}"] = [args], ""
     return out
 
 
@@ -102,14 +121,17 @@ def main() -> None:
 
     digests = {}
     with tempfile.TemporaryDirectory() as cache:
-        for name, (argv, sub) in commands().items():
-            res = CliRunner(env={CACHE_ENV: os.path.join(cache, sub)}).invoke(
-                cli_main, argv)
-            if res.exception is not None and not isinstance(res.exception,
-                                                            SystemExit):
-                raise res.exception
-            digests[name] = {"exit": res.exit_code, "sha256": hashlib.sha256(
-                res.output.encode()).hexdigest()}
+        for name, (argvs, sub) in commands().items():
+            runner = CliRunner(env={CACHE_ENV: os.path.join(cache, sub)})
+            status, sha = 0, hashlib.sha256()
+            for argv in argvs:
+                res = runner.invoke(cli_main, argv)
+                if res.exception is not None and not isinstance(
+                        res.exception, SystemExit):
+                    raise res.exception
+                status = max(status, res.exit_code)
+                sha.update(res.output.encode())
+            digests[name] = {"exit": status, "sha256": sha.hexdigest()}
     json.dump(digests, sys.stdout, indent=2)
     print()
 
