@@ -67,9 +67,8 @@ def display(b: Bipartition, p: Params) -> AbacusDisplay:
 
 
 def from_display(d: AbacusDisplay) -> Bipartition:
-    c1 = _partition_from_beta(d.beads1, len(d.beads1))
-    c2 = _partition_from_beta(d.beads2, len(d.beads2))
-    return Bipartition(c1, c2)
+    return Bipartition(_partition_from_beta(d.beads1),
+                       _partition_from_beta(d.beads2))
 
 
 def gamma_vector(d: AbacusDisplay) -> dict[int, int]:

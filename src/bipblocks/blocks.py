@@ -10,17 +10,18 @@ bead moves; those moves are the member labels.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple, Optional
 
 from .core import (
-    Bipartition, InvariantError, Params, Partition, canonical_sort, corners,
+    Bipartition, InvariantError, Params, Partition, _beta_set,
+    _partition_from_beta, canonical_sort, corner_codes,
 )
 from .abacus import (
-    AbacusDisplay, Bicharge, canonical_bicharge, display, from_display,
-    gamma_vector, is_bicore, push_down_lowest, push_up, s_xy, to_display,
-    transfer_bead,
+    AbacusDisplay, display, from_display, gamma_vector, is_bicore, push_up,
+    s_xy, transfer_bead,
 )
 
 
@@ -205,17 +206,39 @@ def swap_components(b: Bipartition) -> Bipartition:
     return Bipartition(b.comp2, b.comp1)
 
 
-def _apply_label(xi_d: AbacusDisplay, kind: str, args) -> AbacusDisplay:
-    if kind == "down":
-        return transfer_bead(xi_d, 1, args[0])
+def _take(beads: list, x: int, e: int) -> int:
+    """Remove from an ascending bead list its lowest bead on runner x, the
+    largest position congruent to x mod e, and return it."""
+    j = len(beads) - 1
+    while beads[j] % e != x:
+        j -= 1
+    return beads.pop(j)
+
+
+def _give(beads: list, x: int, e: int) -> None:
+    """Put a bead on the first free position of runner x of an ascending
+    bead list."""
+    j = bisect_left(beads, x)
+    while j < len(beads) and beads[j] == x:
+        x += e
+        j = bisect_left(beads, x, j)
+    beads.insert(j, x)
+
+
+def _label_member(beads, kind: str, args, e: int) -> Bipartition:
+    """The bipartition that the label (kind, args) builds on copies of the
+    nucleus's two ascending bead lists: each transfer takes the lowest bead
+    on a runner to the other component's first free position on it."""
+    lists = [beads[0][:], beads[1][:]]
+    moves = ([(1, args[0])] if kind != "downdownup"
+             else [(1, args[0]), (1, args[1]), (2, args[2])])
+    for a, x in moves:
+        _take(lists[a - 1], x, e)
+        _give(lists[2 - a], x, e)
     if kind == "hook":
-        z, x, a = args
-        return push_down_lowest(transfer_bead(xi_d, 1, z), a, x)
-    if kind == "downdownup":
-        w, z, y = args
-        d = transfer_bead(transfer_bead(xi_d, 1, w), 1, z)
-        return transfer_bead(d, 2, y)
-    raise ValueError(f"unknown label kind {kind}")
+        _, x, a = args
+        insort(lists[a - 1], _take(lists[a - 1], x, e) + e)
+    return Bipartition(*map(_partition_from_beta, lists))
 
 
 def _btype(delta: tuple[int, ...]) -> str:
@@ -250,11 +273,12 @@ def _extract_type_params(xi: Bipartition, p: Params, btype: str):
     """Integers (i, j, k, l[, m]) from the nucleus boundary, or None if
     the orientation convention fails."""
     e = p.e
-    cells = corners(xi, _shifted(p))
+    off, codes = corner_codes(xi, _shifted(p))
     # per component, in reading order: a component's two addable residues
     # lie just past its top-right and its bottom-left corner
-    rem, add = ([[i for c, _, _, i, s in cells if c == a and s == sign]
-                 for a in (1, 2)] for sign in "-+")
+    rem, add = [[], []], [[], []]
+    for code, i in sorted((c, i) for i, sig in enumerate(codes) for c in sig):
+        (rem if code & 1 else add)[code >> 1 >= off].append(i)
 
     shape = [len(r) for r in rem + add]
     if btype == "II" and shape == [1, 0, 2, 1]:
@@ -359,8 +383,14 @@ def block_weight(key: BlockKey, p: Params) -> int:
 
 
 def enumerate_block(key: BlockKey, p: Params) -> list[Bipartition]:
-    """All members of the block, most dominant first, built from the
-    content; a well-formed key that has none is refused."""
+    """All members of the block, most dominant first; a well-formed key
+    that has none is refused. A block of weight 1, or of weight 3 that is
+    not a core, is its nucleus's labelled family; any other block is built
+    from the content by ``_members``."""
+    if block_weight(key, p) in (1, 3):
+        desc = classify_type(key, p)
+        if desc.nucleus is not None:
+            return _nucleus_family(desc, p).members()
     return _nonempty(canonical_sort(_members(key, p)), key)
 
 
@@ -402,26 +432,39 @@ def _family(p: Params, swapped: bool, xi: Bipartition, z_set,
     """The labelled family of the nucleus xi, given in the component order
     ``swapped`` names, and its Z-set: the one place labels are built.
 
-    Any bicharge of the right residues that holds xi gives the same
-    labels: a shift by a common multiple of e lands every bead move
-    exactly that shift lower and gives each component only empty top rows.
+    Each label is built on plain bead lists of xi. Component a gets the
+    smallest bead count k_a >= len(xi_a) + 2e whose residue the bicharge
+    gives it: kappa_1 + 1 and kappa_2 - 1 mod e, in that order.
+
+    Every count k_a + te gives the same labels. Take k beads of that
+    residue, at least len(xi_a) + 2e, so that positions 0, ..., 2e - 1
+    are full and every runner of each component holds at least two beads.
+    A label takes at most two beads from one runner of one component: the
+    hook (z, z, 1) transfers runner z of component 1 and then pushes it
+    down. So every move finds a bead. With k + e beads the list is a full
+    row 0, ..., e - 1 on top of the k-bead list shifted e down. Each lowest
+    bead on a runner and each first free position on a runner is then the
+    one of the k-bead list, shifted e down, and the full row is never
+    touched. The moves end on the shifted k-bead result under the full
+    row, which reads back as the same partition.
     """
     q = p.swap() if swapped else p
-    ch = canonical_bicharge(xi.size + 6 * p.e, q)
-    xi_d = to_display(xi, q, Bicharge(ch.k1 + 1, ch.k2 - 1))
-    comp = sorted(set(range(p.e)) - set(z_set))
+    e = p.e
+    beads = [sorted(_beta_set(part, _rep(len(part) + 2 * e, r, e)))
+             for part, r in zip(xi, (q.kappa[0] + 1, q.kappa[1] - 1))]
+    comp = sorted(set(range(e)) - set(z_set))
     zs = sorted(z_set)
     if wt == 1:
         specs = [("down", (z,)) for z in zs]
     else:
-        specs = ([("hook", (z, x, a)) for z in zs for x in range(p.e)
+        specs = ([("hook", (z, x, a)) for z in zs for x in range(e)
                   for a in (1, 2)]
                  + [("down", (x,)) for x in comp]
                  + [("downdownup", (w, z, y)) for i, w in enumerate(zs)
                     for z in zs[i + 1:] for y in comp])
     labels = []
     for kind, args in specs:
-        b = from_display(_apply_label(xi_d, kind, args))
+        b = _label_member(beads, kind, args, e)
         if swapped:
             b = swap_components(b)
         labels.append(MemberLabel(kind, args, b))
@@ -502,9 +545,9 @@ def exceptional_labels(fam: BlockFamily) -> list[MemberLabel]:
         return []
     out = []
     for lab in fam.labels:
-        add_res = {i for _, _, _, i, sign in corners(lab.bipartition, p)
-                   if sign == "+"}
-        if all(i in add_res for i in pos):
+        codes = corner_codes(lab.bipartition, p)[1]
+        # an even code is an addable cell
+        if all(any(c & 1 == 0 for c in codes[i]) for i in pos):
             out.append(lab)
     return out
 

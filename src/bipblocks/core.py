@@ -325,9 +325,11 @@ def _trusted(parts: list[int]) -> Partition:
     return Partition._of(parts)
 
 
-def _partition_from_beta(beta, k: int) -> Partition:
-    return _trusted([v - k + r for r, v in
-                     enumerate(sorted(beta, reverse=True), start=1)])
+def _partition_from_beta(beta) -> Partition:
+    """The partition of a bead set: the j-th smallest of its k beads is
+    row k - j, of part bead - j (j from 0); full positions give no part."""
+    return Partition._of([b - j for j, b in enumerate(sorted(beta))
+                          if b > j][::-1])
 
 
 def rim_hooks(b: Bipartition) -> list[RimHook]:

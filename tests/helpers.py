@@ -12,10 +12,13 @@ from bipblocks.core import (
     _beta_set, add_node, bipartitions, canonical_sort, corners, dominance_key,
     dominates, remove_node, residue,
 )
-from bipblocks.abacus import display, from_display, gamma_vector, transfer_bead
+from bipblocks.abacus import (
+    AbacusDisplay, Bicharge, canonical_bicharge, display, from_display,
+    gamma_vector, push_down_lowest, to_display, transfer_bead,
+)
 from bipblocks.blocks import (
-    BlockKey, _apply_label, _reduce_display, _rows, _xy_sets, block_key,
-    enumerate_block, swap_components, weight_trace,
+    BlockKey, _reduce_display, _rows, _xy_sets, block_key, enumerate_block,
+    swap_components, weight_trace,
 )
 from bipblocks.crystal import StripTrace, is_restricted, signature
 from bipblocks import js
@@ -247,10 +250,56 @@ def members_unpruned(key: BlockKey, p: Params):
                 yield Bipartition(Partition(c1), Partition(c2))
 
 
-# The label path that blocks._family replaced, kept as its oracle: the
-# labels are built on the reduced display of a member, at the bicharge of
-# that member's size, in each component order whose reduction reaches a
-# single low runner.
+# The display route of the member labels, kept as the oracle of the bead
+# lists of blocks._family: each label is made of AbacusDisplay moves.
+
+def _apply_label(xi_d: AbacusDisplay, kind: str, args) -> AbacusDisplay:
+    if kind == "down":
+        return transfer_bead(xi_d, 1, args[0])
+    if kind == "hook":
+        z, x, a = args
+        return push_down_lowest(transfer_bead(xi_d, 1, z), a, x)
+    w, z, y = args
+    return transfer_bead(transfer_bead(transfer_bead(xi_d, 1, w), 1, z), 2, y)
+
+
+def _label_specs(zs, e: int, wt: int) -> list[tuple]:
+    """(kind, args) of every label of a nucleus with sorted Z-set zs."""
+    comp = sorted(set(range(e)) - set(zs))
+    if wt == 1:
+        return [("down", (z,)) for z in zs]
+    specs = []
+    for z in zs:
+        for x in range(e):
+            for a in (1, 2):
+                specs.append(("hook", (z, x, a)))
+    specs += [("down", (x,)) for x in comp]
+    for wi in range(len(zs)):
+        for zi in range(wi + 1, len(zs)):
+            for y in comp:
+                specs.append(("downdownup", (zs[wi], zs[zi], y)))
+    return specs
+
+
+def labels_by_display(p: Params, swapped: bool, xi: Bipartition, z_set,
+                      wt: int) -> list[tuple]:
+    """``(kind, args, bipartition)`` of every label of the nucleus xi, built
+    on its display at the bicharge of size |xi| + 6e, each charge moved
+    one step as the nucleus's bicharge asks (kappa_1 + 1, kappa_2 - 1)."""
+    q = p.swap() if swapped else p
+    ch = canonical_bicharge(xi.size + 6 * p.e, q)
+    xi_d = to_display(xi, q, Bicharge(ch.k1 + 1, ch.k2 - 1))
+    out = []
+    for kind, args in _label_specs(sorted(z_set), p.e, wt):
+        b = from_display(_apply_label(xi_d, kind, args))
+        out.append((kind, args, swap_components(b) if swapped else b))
+    return out
+
+
+# The label path before blocks._family, kept as its oracle: the labels are
+# built on the reduced display of a member, at the bicharge of that
+# member's size, in each component order whose reduction reaches a single
+# low runner.
 
 def labels_by_reduction(member: Bipartition, p: Params,
                         wt: int) -> dict[bool, list[tuple]]:
@@ -264,23 +313,8 @@ def labels_by_reduction(member: Bipartition, p: Params,
         if len(ys) != 1:
             continue
         xi_d = transfer_bead(d, 2, next(iter(ys)))
-        zs = sorted(xs | ys)
-        comp = sorted(set(range(q.e)) - set(zs))
-        specs = []
-        if wt == 1:
-            specs = [("down", (z,)) for z in zs]
-        else:
-            for z in zs:
-                for x in range(q.e):
-                    for a in (1, 2):
-                        specs.append(("hook", (z, x, a)))
-            specs += [("down", (x,)) for x in comp]
-            for wi in range(len(zs)):
-                for zi in range(wi + 1, len(zs)):
-                    for y in comp:
-                        specs.append(("downdownup", (zs[wi], zs[zi], y)))
         labels = []
-        for kind, args in specs:
+        for kind, args in _label_specs(sorted(xs | ys), q.e, wt):
             b = from_display(_apply_label(xi_d, kind, args))
             labels.append((kind, args, swap_components(b) if swapped else b))
         out[swapped] = labels

@@ -7,18 +7,19 @@ from hypothesis import given, strategies as st
 from bipblocks import blocks
 from bipblocks.core import (
     InvariantError, Params, bip, EMPTY_BIP, bipartitions, boundary_nodes,
-    conjugate, remove_node, residue,
+    canonical_sort, conjugate, remove_node, residue,
 )
 from bipblocks.blocks import (
     BlockKey, block_key, block_weight, content_counts, delta_vector,
     weight, weight_trace, enumerate_block, nucleus_and_Z, classify_type,
     exceptional_bips, exceptional_labels, block_family,
     family_from_type_params, constructive_members, swap_components,
-    _nuclei, _member_of, _members,
+    _family, _nuclei, _member_of, _members,
 )
 from helpers import (
     small_bips, params_st, bips_of, is_checked, members_unpruned, diagram,
-    labels_by_reduction, delta_by_corners, type_ii_by_own_formulas,
+    labels_by_display, labels_by_reduction, delta_by_corners,
+    type_ii_by_own_formulas,
 )
 
 P43 = Params.make(4, (0, 3))
@@ -75,7 +76,7 @@ class TestBlockKey:
     def test_no_boundary_scan(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("block_key scanned the boundary")
-        monkeypatch.setattr(blocks, "corners", refuse)
+        monkeypatch.setattr(blocks, "corner_codes", refuse)
         key, delta = block_key(B32, P43)
         assert key == BlockKey(10, (2, 3, 3, 2)) and delta == (-2, 1, 1, -2)
 
@@ -222,7 +223,26 @@ class TestEnumerate:
         key = key_of(b, p)
         desc = classify_type(key, p)
         if desc.weight == 1 or (desc.weight == 3 and not desc.is_core):
-            assert constructive_members(key, p) == enumerate_block(key, p)
+            assert constructive_members(key, p) == \
+                canonical_sort(_members(key, p))
+
+    def test_nucleus_block_is_not_searched(self, monkeypatch):
+        # a weight-3 block that is not a core is its nucleus's labels: the
+        # content search runs only for the first member
+        def refuse(key, p):
+            raise AssertionError(f"searched the block {key}")
+        key = key_of(B32, P43)
+        want = canonical_sort(_members(key, P43))
+        monkeypatch.setattr(blocks, "_members", refuse)
+        monkeypatch.setattr(blocks, "_member_of", lambda key, p: B32)
+        assert enumerate_block(key, P43) == want and len(want) == 28
+
+    @pytest.mark.parametrize("e", [5, 7, 9])
+    def test_ladder_labels_match_content_search(self, e):
+        fam = family_from_type_params("III", e, (0, 1, 1, 2, 3))
+        key = key_of(fam.labels[0].bipartition, fam.params)
+        assert enumerate_block(key, fam.params) == \
+            canonical_sort(_members(key, fam.params))
 
 
 class TestPrunedMembersOracle:
@@ -283,15 +303,28 @@ class TestNucleus:
         assert fam.bip_of("hook", (2, 3, 1)) == B32
 
 
+def triples(fam):
+    return [(lab.kind, lab.args, lab.bipartition) for lab in fam.labels]
+
+
+def matches_display_route(fam, wt: int = 3) -> bool:
+    """The labels of ``fam``, built on bead lists at the 2e pad, against
+    the AbacusDisplay moves at the 6e pad that ``_family`` made before."""
+    return triples(fam) == labels_by_display(fam.params, fam.swapped,
+                                             fam.xi, fam.z_set, wt)
+
+
 class TestFamilyOracle:
-    """The labels of ``block_family``, built on a display made from the
-    nucleus, against labels built on the reduced display of a member."""
+    """The labels of ``block_family``, built on bead lists from the
+    nucleus, against labels built on the reduced display of a member, and
+    on a display of the nucleus."""
 
     @pytest.mark.parametrize("e, n_max", [(2, 10), (3, 10), (4, 10),
                                           (5, 9)])
     def test_every_odd_weight_block(self, e, n_max):
         # shifting both charges relabels the residues, so kappa = (0, k)
         # reaches every block up to that relabelling
+        orders = set()
         for k in range(e):
             p = Params.make(e, (0, k))
             for n in range(n_max + 1):
@@ -303,17 +336,24 @@ class TestFamilyOracle:
                             or desc.weight == 3 and not desc.is_core):
                         continue
                     fam = block_family(key, p)
-                    want = labels_by_reduction(_member_of(key, p), p,
-                                               desc.weight)
-                    got = [(lab.kind, lab.args, lab.bipartition)
-                           for lab in fam.labels]
-                    assert got == want[fam.swapped], (key, p)
+                    member = _member_of(key, p)
+                    want = labels_by_reduction(member, p, desc.weight)
+                    assert triples(fam) == want[fam.swapped], (key, p)
+                    if n > 7:
+                        continue
+                    # the nucleus of each component order that has one
+                    for nucleus in _nuclei(member, p):
+                        fam = _family(p, *nucleus, desc.weight)
+                        assert matches_display_route(fam, desc.weight), \
+                            (key, p, fam.swapped)
+                        orders.add((fam.swapped, desc.weight))
+        assert orders == {(False, 1), (True, 1), (False, 3), (True, 3)}
 
     def test_classification_builds_no_labels(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("built a label while classifying")
 
-        monkeypatch.setattr(blocks, "_apply_label", refuse)
+        monkeypatch.setattr(blocks, "_label_member", refuse)
         desc = classify_type(key_of(B32, P43), P43)
         assert desc.weight == 3 and desc.nucleus == bip((2,), (1, 1))
 
@@ -364,6 +404,7 @@ class TestTypeFamilies:
                     fam = family_from_type_params("II", e, window)
                     assert (fam.xi, fam.params.kappa, fam.z_set) \
                         == (xi, kappa, z_set), (e, window)
+                    assert e > 5 or matches_display_route(fam), window
                     built += 1
         assert built == 294
 
@@ -390,9 +431,11 @@ class TestTypeFamilies:
                         f"need {first} <= j <= k <= l <= m <= e+i-2"
                     continue
                 fam = family_from_type_params(btype, e, params)
+                assert e > 5 or matches_display_route(fam), params
                 members = fam.members()
                 key = key_of(members[0], fam.params)
-                assert members == enumerate_block(key, fam.params), params
+                assert members == canonical_sort(
+                    _members(key, fam.params)), params
 
 
     @pytest.mark.parametrize("btype, params", [
@@ -412,8 +455,8 @@ class TestTypeFamilies:
 
 class TestInvariantErrors:
     def test_labels_not_distinct(self, monkeypatch):
-        monkeypatch.setattr(blocks, "_apply_label", lambda xi_d, kind, args:
-                            xi_d)
+        monkeypatch.setattr(blocks, "_label_member",
+                            lambda beads, kind, args, e: EMPTY_BIP)
         with pytest.raises(InvariantError, match=r"member labels: two "
                            r"labels of the nucleus \(1\|1\) build"):
             family_from_type_params("IV", 2, (0, 0, 0, 0, 0))

@@ -9,15 +9,18 @@ so running it with ``--root`` on two checkouts and diffing the two files
 compares their outputs:
 
 - ``verify --all`` and ``verify --case`` for every catalogue case;
-- ``decomp --no-cache``, ``js order``, ``block info`` and
-  ``block exceptional`` on the type-III block at the window (0,1,1,2,3)
-  for e = 5, 7, 9 and 11;
+- ``decomp --no-cache``, ``js order``, ``block info``,
+  ``block exceptional`` and ``block enumerate`` on the type-III block at
+  the window (0,1,1,2,3) for e = 5, 7, 9 and 11;
 - ``decomp`` through the cache on the same blocks, twice per rung and
   format under a cache directory of their own: the first run solves and
   writes the cache file, the second reads it back;
 - ``bip restricted``, ``bip info`` and ``bip diamond`` on every member of
   the blocks at e = 5 and 7, one entry per rung, verb and format; the
   refusals of ``bip diamond`` print where the good-node strip stops;
+- ``block enumerate`` on the weight-1 block of (3,1,1,1|-) at e = 4,
+  kappa = (0,3), and on the weight-3 block of (-|5,1,1) at e = 4,
+  kappa = (0,1), whose nucleus only the swapped component order finds;
 - every ``$ bipblocks`` example in this checkout's README, the cached
   ``decomp`` under an empty cache directory.
 
@@ -71,6 +74,11 @@ def commands() -> dict[str, tuple[list[list[str]], str]]:
     the temporary cache root that they run in ("" for the root)."""
     from bipblocks.blocks import block_key, family_from_type_params
     from bipblocks.cli import CASES
+    from bipblocks.core import Params, bip
+
+    def block_doc(p, key) -> str:
+        return json.dumps({"e": p.e, "kappa": list(p.kappa), "charp": 0,
+                           "n": key.n, "content": list(key.content)})
 
     out = {}
     for fmt in FORMATS:
@@ -82,11 +90,10 @@ def commands() -> dict[str, tuple[list[list[str]], str]]:
     for e in LADDER:
         fam = family_from_type_params("III", e, WINDOW)
         p = fam.params
-        key = block_key(fam.members()[0], p)[0]
-        doc = json.dumps({"e": p.e, "kappa": list(p.kappa), "charp": 0,
-                          "n": key.n, "content": list(key.content)})
+        doc = block_doc(p, block_key(fam.members()[0], p)[0])
         for verb in (["decomp", "--no-cache"], ["js", "order"],
-                     ["block", "info"], ["block", "exceptional"]):
+                     ["block", "info"], ["block", "exceptional"],
+                     ["block", "enumerate"]):
             for fmt in FORMATS:
                 out[f"ladder e={e} {' '.join(verb)} {fmt}"] = [[
                     *verb, "--block", doc, "--format", fmt]], ""
@@ -104,6 +111,13 @@ def commands() -> dict[str, tuple[list[list[str]], str]]:
                 out[f"ladder e={e} members bip {verb} {fmt}"] = [
                     ["bip", verb, "--bip", d, "--format", fmt]
                     for d in docs], ""
+    for name, member, p in (
+            ("weight-1", bip((3, 1, 1, 1), ()), Params.make(4, (0, 3))),
+            ("swapped nucleus", bip((), (5, 1, 1)), Params.make(4, (0, 1)))):
+        doc = block_doc(p, block_key(member, p)[0])
+        for fmt in FORMATS:
+            out[f"{name} block enumerate {fmt}"] = [[
+                "block", "enumerate", "--block", doc, "--format", fmt]], ""
     for n, args in enumerate(readme_examples(os.path.join(ROOT,
                                                           "README.md"))):
         out[f"readme {n} {' '.join(args[:2])}"] = [args], ""
