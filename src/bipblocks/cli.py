@@ -283,18 +283,35 @@ def _eval(expr: str, ns: dict):
     return eval(expr, {"__builtins__": {"range": range}, **ns})  # noqa: S307
 
 
+# above the catalogue's 26 families, and bounded so that a sweep of
+# windows does not grow the process without limit
+_FAMILY_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_FAMILY_MEMO_SIZE)
+def _solved_family(block_type: str, e: int, window: tuple[int, ...]):
+    """The family a window names, its members in canonical order and its
+    matrix, solved once per process: cases share a (type, e, window). All
+    three are immutable, so every hit returns what a fresh solve would."""
+    fam = family_from_type_params(block_type, e, window)
+    members = tuple(fam.members())
+    return fam, members, matrix_from_members(members, fam.params)
+
+
 def verify_case(spec: CaseSpec, e: Optional[int] = None,
                 window: Optional[tuple[int, ...]] = None) -> VerifyReport:
     """Recompute the family named by a case and diff it against the
-    fixture. Raises on an instantiation that violates the case's
-    inequality constraints."""
+    fixture. Raises on e below 2 and on an instantiation that violates the
+    case's inequality constraints."""
     e = spec.default_e if e is None else e
     window = spec.default_window if window is None else tuple(window)
+    if e < 2:
+        raise ValueError("e must be at least 2")
     ns = _case_namespace(spec, e, window)
     if not _eval(spec.conditions, ns):
         raise ValueError(f"instantiation {window} violates "
                          f"'{spec.conditions}'")
-    fam = family_from_type_params(spec.block_type, e, window)
+    fam, members, matrix = _solved_family(spec.block_type, e, window)
     ns["z"] = len(fam.z_set)
 
     def member(name, expr):
@@ -308,8 +325,6 @@ def verify_case(spec: CaseSpec, e: Optional[int] = None,
                              f"{exc.args[0]}") from None
 
     [(_, mu)] = member(*spec.mu)
-    members = fam.members()
-    matrix = matrix_from_members(members, fam.params)
     order = None
     checks = []
 

@@ -159,10 +159,19 @@ class TestVerifier:
     def test_invalid_instantiation(self):
         with pytest.raises(ValueError, match="violates"):
             verify_case(CASES["III-8"], 5, (0, 2, 2, 3, 3))
+        assert cli._solved_family.cache_info().currsize == 0
 
     def test_wrong_arity(self):
         with pytest.raises(ValueError, match="parameters"):
             verify_case(CASES["III-1"], 5, (0, 1, 1, 2))
+        assert cli._solved_family.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("e", [1, 0, -3])
+    def test_e_below_2(self, e):
+        # refused as Params.make refuses it, before the window is read
+        with pytest.raises(ValueError, match="^e must be at least 2$"):
+            verify_case(CASES["III-8"], e, (0, 2, 3, 3, 3))
+        assert cli._solved_family.cache_info().currsize == 0
 
     def test_verify_all_json(self):
         res = run("verify", "--all", "--format", "json")
@@ -186,6 +195,41 @@ class TestVerifier:
         text = "".join(serialize(rep) for rep in cli.verify_all())
         digest = hashlib.sha256(text.encode()).hexdigest()[:16]
         assert digest == VERIFY_ALL_JSON
+
+
+class TestFamilyMemo:
+    """verify_case solves each (type, e, window) once per process."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = {"family": 0, "matrix": 0}
+
+        def spy(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+        monkeypatch.setattr(cli, "family_from_type_params",
+                            spy("family", cli.family_from_type_params))
+        monkeypatch.setattr(cli, "matrix_from_members",
+                            spy("matrix", cli.matrix_from_members))
+        return calls
+
+    def test_verify_all_solves_each_family_once(self, solves):
+        # the 34 cases name 26 families
+        cli.verify_all()
+        assert solves == {"family": 26, "matrix": 26}
+        text = "".join(serialize(rep) for rep in cli.verify_all())
+        assert solves == {"family": 26, "matrix": 26}
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == (
+            VERIFY_ALL_JSON)
+
+    def test_own_window_is_its_own_entry(self, solves):
+        verify_case(CASES["III-8"])
+        assert verify_case(CASES["III-8"], 6, (0, 2, 3, 3, 3)).overall
+        verify_case(CASES["III-8"], 6, (0, 2, 3, 3, 3))
+        assert solves == {"family": 2, "matrix": 2}
+        assert cli._solved_family.cache_info().currsize == 2
 
 
 class TestCommands:
@@ -358,6 +402,13 @@ class TestCommands:
                   "--params", "0,2,2,3,3")
         assert res.exit_code == 1
         assert "violates" in res.output
+
+    @pytest.mark.parametrize("e", ["1", "0", "-3"])
+    def test_verify_e_below_2(self, e):
+        # the refusal names e, not the window
+        res = run("verify", "--case", "III-8", "--e", e)
+        assert res.exit_code == 1
+        assert res.output == "error: e must be at least 2\n"
 
     def test_verify_window_outside_residues(self):
         # i = 5 at e = 5: (0, 2, 3, 3, 3) shifted by e

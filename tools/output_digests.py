@@ -8,7 +8,13 @@ checkout this script lies in). The commands are always this script's own,
 so running it with ``--root`` on two checkouts and diffing the two files
 compares their outputs:
 
-- ``verify --all`` and ``verify --case`` for every catalogue case;
+- ``verify --all`` and ``verify --case`` for every catalogue case, then
+  ``verify --case`` for III-1, III-14 and III-18 at e = 7, one entry per
+  format. ``verify`` solves each (type, e, window) once per process, so
+  every ``verify --case`` after ``verify --all`` reads its family from the
+  memo, and of the three cases at e = 7, which share a family, only the
+  first json run solves; comparing with a checkout that solves every case
+  afresh checks that a memo hit prints what a cold solve prints;
 - ``decomp --no-cache``, ``js order``, ``block info``,
   ``block exceptional`` and ``block enumerate`` on the type-III block at
   the window (0,1,1,2,3) for e = 5, 7, 9 and 11;
@@ -87,6 +93,9 @@ def commands() -> dict[str, tuple[list[list[str]], str]]:
         for case_id in sorted(CASES):
             out[f"verify --case {case_id} {fmt}"] = [[
                 "verify", "--case", case_id, "--format", fmt]], ""
+        out[f"verify --case III-1,III-14,III-18 --e 7 {fmt}"] = [
+            ["verify", "--case", case_id, "--e", "7", "--format", fmt]
+            for case_id in ("III-1", "III-14", "III-18")], ""
     for e in LADDER:
         fam = family_from_type_params("III", e, WINDOW)
         p = fam.params
