@@ -283,6 +283,11 @@ def _eval(expr: str, ns: dict):
     return eval(expr, {"__builtins__": {"range": range}, **ns})  # noqa: S307
 
 
+# the largest e verify solves. A family has 2ez + (e-z) + z(z-1)/2 (e-z)
+# members, z <= e, so it grows as e^3: the largest at e = 20 has 1,130
+# members, and III-8 at e = 100000 would never finish building its labels
+_MAX_VERIFY_E = 20
+
 # above the catalogue's 26 families, and bounded so that a sweep of
 # windows does not grow the process without limit
 _FAMILY_MEMO_SIZE = 64
@@ -290,28 +295,30 @@ _FAMILY_MEMO_SIZE = 64
 
 @functools.lru_cache(maxsize=_FAMILY_MEMO_SIZE)
 def _solved_family(block_type: str, e: int, window: tuple[int, ...]):
-    """The family a window names, its members in canonical order and its
-    matrix, solved once per process: cases share a (type, e, window). All
-    three are immutable, so every hit returns what a fresh solve would."""
+    """The family a window names and its matrix, whose rows are the
+    members in canonical order, solved once per process: cases share a
+    (type, e, window). Both are immutable, so every hit returns what a
+    fresh solve would."""
     fam = family_from_type_params(block_type, e, window)
-    members = tuple(fam.members())
-    return fam, members, matrix_from_members(members, fam.params)
+    return fam, matrix_from_members(fam.members(), fam.params)
 
 
 def verify_case(spec: CaseSpec, e: Optional[int] = None,
                 window: Optional[tuple[int, ...]] = None) -> VerifyReport:
     """Recompute the family named by a case and diff it against the
-    fixture. Raises on e below 2 and on an instantiation that violates the
-    case's inequality constraints."""
+    fixture. Raises on e below 2 or above ``_MAX_VERIFY_E`` and on an
+    instantiation that violates the case's inequality constraints."""
     e = spec.default_e if e is None else e
     window = spec.default_window if window is None else tuple(window)
     if e < 2:
         raise ValueError("e must be at least 2")
+    if e > _MAX_VERIFY_E:
+        raise ValueError(f"e must be at most {_MAX_VERIFY_E}")
     ns = _case_namespace(spec, e, window)
     if not _eval(spec.conditions, ns):
         raise ValueError(f"instantiation {window} violates "
                          f"'{spec.conditions}'")
-    fam, members, matrix = _solved_family(spec.block_type, e, window)
+    fam, matrix = _solved_family(spec.block_type, e, window)
     ns["z"] = len(fam.z_set)
 
     def member(name, expr):
@@ -340,7 +347,7 @@ def verify_case(spec: CaseSpec, e: Optional[int] = None,
             got = mu_diamond(mu, fam.params)
             record("mu partner", _bip_doc(want), _bip_doc(got))
         elif kind == "member-count":
-            record("member count", _eval(payload[0], ns), len(members))
+            record("member count", _eval(payload[0], ns), len(matrix.rows))
         elif kind == "restricted-count":
             record("restricted columns", payload[0], len(matrix.cols))
         elif kind == "column-max":
@@ -359,7 +366,7 @@ def verify_case(spec: CaseSpec, e: Optional[int] = None,
                    1 - matrix.entry(beta, mu), matrix.jbound(tau, mu))
         elif kind == "order":
             if order is None:
-                order = order_from_members(members, fam.params)
+                order = order_from_members(matrix.rows, fam.params)
             (na, ea), (nb, eb), expect = payload
             [(aa, a)], [(ab, b)] = member(na, ea), member(nb, eb)
             record(f"order {na}{aa} above {nb}{ab}", expect,
@@ -858,14 +865,15 @@ def decomp(e, kappa, charp, bip_doc, block_doc, fmt, no_cache):
 @_command(main, "verify")
 @click.option("--case", "case_id", default=None,
               help="Case identifier, e.g. III-8.")
-@click.option("--e", "e", type=int, default=None)
+@click.option("--e", "e", type=int, default=None,
+              help="Quantum characteristic (default: the case's own).")
 @click.option("--params", default=None,
               help="Window parameters, e.g. 0,2,3,3,3.")
 @click.option("--all", "run_all", is_flag=True, help="Run every case.")
 @click.option("--list", "list_cases", is_flag=True,
               help="List the case identifiers.")
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]),
-              default="table")
+              default="table", help="Output format.")
 def verify(case_id, e, params, run_all, list_cases, fmt):
     """Recompute catalogued families and diff against the fixtures."""
     modes = [flag for flag, given in (("--case", case_id is not None),

@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import accumulate
+from math import isqrt
 from operator import ge
 from typing import Iterator, NamedTuple, Optional
 
@@ -20,15 +21,13 @@ class InvariantError(RuntimeError):
     the bipartition; unlike an ``assert``, the check survives ``python -O``."""
 
 
+# a prime above this is refused before trial division reaches it; it is
+# far above every hook offset a solvable block has, so it would divide none
+_MAX_CHARP = 2**31 - 1
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 class Params(NamedTuple):
@@ -45,6 +44,8 @@ class Params(NamedTuple):
             raise ValueError("e must be at least 2")
         k1, k2 = kappa
         if charp != 0:
+            if charp > _MAX_CHARP:
+                raise ValueError(f"charp must be at most {_MAX_CHARP}")
             if not _is_prime(charp):
                 raise ValueError("charp must be 0 or prime")
             if e % charp == 0:
@@ -317,14 +318,6 @@ def _beta_set(part: Partition, k: int) -> frozenset[int]:
     return frozenset(part.row(r) + k - r for r in range(1, k + 1))
 
 
-def _trusted(parts: list[int]) -> Partition:
-    """The partition of a weakly decreasing, non-negative part list the
-    package has just built: trailing zeros stripped, nothing checked."""
-    while parts and not parts[-1]:
-        parts.pop()
-    return Partition._of(parts)
-
-
 def _partition_from_beta(beta) -> Partition:
     """The partition of a bead set: the j-th smallest of its k beads is
     row k - j, of part bead - j (j from 0); full positions give no part."""
@@ -335,9 +328,8 @@ def _partition_from_beta(beta) -> Partition:
 def rim_hooks(b: Bipartition) -> list[RimHook]:
     """All removable rim hooks of b, by component, hand row and length.
     With k beads, the bead x of row r sits at part_r + k - r. Moving it
-    down to the free position y past ``leg`` beads moves rows r+1..r+leg
-    up one row, each a cell shorter, and leaves row r+leg the part
-    y - k + r + leg."""
+    down to the free position y passes ``leg`` beads, and the rest is the
+    bead set read back with y in place of x."""
     out = []
     for a in (1, 2):
         part = b.comp(a)
@@ -346,13 +338,11 @@ def rim_hooks(b: Bipartition) -> list[RimHook]:
         for r, x in enumerate(beads, start=1):
             hand, leg = Node(r, x - k + r, a), 0
             for y in range(x - 1, -1, -1):
-                s = r + leg
-                if s < k and beads[s] == y:
+                if r + leg < k and beads[r + leg] == y:
                     leg += 1
                     continue
-                smaller = _trusted([*part[:r - 1],
-                                    *(q - 1 for q in part[r:s]),
-                                    y - k + s, *part[s:]])
+                smaller = _partition_from_beta([*beads[:r - 1], y,
+                                                *beads[r:]])
                 rest = (Bipartition(smaller, b.comp2) if a == 1
                         else Bipartition(b.comp1, smaller))
                 out.append(RimHook(hand, leg, a, x - y, rest))

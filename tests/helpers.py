@@ -214,8 +214,9 @@ def is_checked(b: Bipartition) -> bool:
                for q in b)
 
 
-# The beta-set rebuild of each rim hook's rest that core.rim_hooks
-# replaced by arithmetic on the parts, kept as its oracle.
+# Each rim hook's rest rebuilt from the beta-set through the checked
+# Partition(...), an oracle for core.rim_hooks, which reads the moved bead
+# set back through the unchecked _partition_from_beta.
 
 def rim_hooks_by_beta(b: Bipartition) -> list[RimHook]:
     out = []

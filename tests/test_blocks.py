@@ -14,7 +14,7 @@ from bipblocks.blocks import (
     weight, weight_trace, enumerate_block, nucleus_and_Z, classify_type,
     exceptional_bips, exceptional_labels, block_family,
     family_from_type_params, constructive_members, swap_components,
-    _family, _nuclei, _member_of, _members,
+    _analyze_member, _family, _nuclei, _member_of, _members,
 )
 from helpers import (
     small_bips, params_st, bips_of, is_checked, members_unpruned, diagram,
@@ -513,6 +513,24 @@ class TestClassify:
         assert desc.weight == 3
         assert not desc.is_core
         assert desc.z_set == frozenset({0, 2, 3})
+
+    def test_descriptor_does_not_depend_on_the_member(self):
+        # every block with n <= 8 at e = 2..5, kappa = (0, k): any member
+        # may stand for the block in classify_type
+        seen = members = 0
+        for e in range(2, 6):
+            for k in range(e):
+                p = Params.make(e, (0, k))
+                for n in range(9):
+                    descs = {}
+                    for b in bipartitions(n):
+                        descs.setdefault(key_of(b, p), set()).add(
+                            _analyze_member(b, p))
+                        members += 1
+                    for key, found in descs.items():
+                        assert len(found) == 1, (key, p)
+                    seen += len(descs)
+        assert (seen, members) == (919, 6076)
 
     @given(small_bips(7), params_st())
     def test_type_params_round_trip(self, b, p):

@@ -173,6 +173,23 @@ class TestVerifier:
             verify_case(CASES["III-8"], e, (0, 2, 3, 3, 3))
         assert cli._solved_family.cache_info().currsize == 0
 
+    def test_e_above_limit(self):
+        # III-8 at e = 100000 never finishes building its labels: refused
+        # before the family is built
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^e must be at most 20$"):
+            verify_case(CASES["III-8"], 100000, (0, 2, 3, 3, 3))
+        assert time.perf_counter() - start < 0.1
+        assert cli._solved_family.cache_info().currsize == 0
+
+    def test_e_at_limit_is_solved(self, monkeypatch):
+        # e = 20 passes the refusal and reaches the solve
+        def solve(*args):
+            raise LookupError(args)
+        monkeypatch.setattr(cli, "_solved_family", solve)
+        with pytest.raises(LookupError):
+            verify_case(CASES["III-8"], 20, (0, 2, 3, 3, 3))
+
     def test_verify_all_json(self):
         res = run("verify", "--all", "--format", "json")
         assert res.exit_code == 0
@@ -410,6 +427,13 @@ class TestCommands:
         assert res.exit_code == 1
         assert res.output == "error: e must be at least 2\n"
 
+    def test_verify_e_above_limit(self):
+        start = time.perf_counter()
+        res = run("verify", "--case", "III-8", "--e", "100000")
+        assert time.perf_counter() - start < 0.1
+        assert res.exit_code == 1
+        assert res.output == "error: e must be at most 20\n"
+
     def test_verify_window_outside_residues(self):
         # i = 5 at e = 5: (0, 2, 3, 3, 3) shifted by e
         res = run("verify", "--case", "III-8", "--params", "5,7,8,8,8")
@@ -484,6 +508,7 @@ class TestCommands:
         (["--e", "4", "--charp", "2"], "charp must not divide e"),
         (["--charp", "1"], "charp must be 0 or prime"),
         (["--charp", "9"], "charp must be 0 or prime"),
+        (["--charp", str(2**61 - 1)], "charp must be at most 2147483647"),
     ])
     def test_parameters_refused(self, flags, message):
         res = run("bip", "info", "--bip", DOC, *flags)

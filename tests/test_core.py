@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -101,6 +102,19 @@ class TestResidue:
     def test_direct_evaluation(self):
         p = Params.make(6, (5, 4))
         assert residue(Node(1, 2, 2), p) == 5
+
+
+class TestParams:
+    def test_large_charp_refused_at_once(self):
+        # 2^61 - 1 is prime: trial division up to its root would not end
+        start = time.perf_counter()
+        with pytest.raises(ValueError,
+                           match="^charp must be at most 2147483647$"):
+            Params.make(4, (0, 3), 2**61 - 1)
+        assert time.perf_counter() - start < 0.1
+
+    def test_prime_at_the_limit_accepted(self):
+        assert Params.make(4, (0, 3), 2**31 - 1).charp == 2**31 - 1
 
 
 class TestConjugate:
@@ -384,9 +398,9 @@ class TestRimHookOracle:
 
 class TestDirectRests:
     def test_rests_match_beta_rebuild(self):
-        # every bipartition with n <= 10: the hooks whose rests come from
-        # the parts by arithmetic equal the beta-set rebuild's, in order,
-        # and every rest is a checked partition pair
+        # every bipartition with n <= 10: the hooks whose rests
+        # _partition_from_beta reads back equal the checked beta-set
+        # rebuild's, in order, and every rest is a checked partition pair
         for n in range(11):
             for b in bipartitions(n):
                 hooks = rim_hooks(b)

@@ -24,6 +24,8 @@ compares their outputs:
 - ``bip restricted``, ``bip info`` and ``bip diamond`` on every member of
   the blocks at e = 5 and 7, one entry per rung, verb and format; the
   refusals of ``bip diamond`` print where the good-node strip stops;
+- ``js val`` on every strictly dominating pair of members of the block at
+  e = 5, dominant first, one entry per format;
 - ``block enumerate`` on the weight-1 block of (3,1,1,1|-) at e = 4,
   kappa = (0,3), and on the weight-3 block of (-|5,1,1) at e = 4,
   kappa = (0,1), whose nucleus only the swapped component order finds;
@@ -48,12 +50,15 @@ import os
 import shlex
 import sys
 import tempfile
+from itertools import combinations
 
 from bench_entry import LADDER, ROOT, WINDOW
 
 FORMATS = ("json", "table")
 # the rungs whose every member runs the bip verbs
 MEMBER_RUNGS = (5, 7)
+# the rung whose every strictly dominating pair of members runs js val
+PAIR_RUNG = 5
 
 
 def readme_examples(path: str) -> list[list[str]]:
@@ -80,7 +85,7 @@ def commands() -> dict[str, tuple[list[list[str]], str]]:
     the temporary cache root that they run in ("" for the root)."""
     from bipblocks.blocks import block_key, family_from_type_params
     from bipblocks.cli import CASES
-    from bipblocks.core import Params, bip
+    from bipblocks.core import Params, bip, dominates
 
     def block_doc(p, key) -> str:
         return json.dumps({"e": p.e, "kappa": list(p.kappa), "charp": 0,
@@ -112,14 +117,25 @@ def commands() -> dict[str, tuple[list[list[str]], str]]:
                     "decomp", "--block", doc, "--format", fmt]], f"e{e}-{fmt}"
         if e not in MEMBER_RUNGS:
             continue
+        members = fam.members()
         docs = [json.dumps({"e": p.e, "kappa": list(p.kappa), "charp": 0,
                             "comp1": list(b.comp1), "comp2": list(b.comp2)})
-                for b in fam.members()]
+                for b in members]
         for verb in ("restricted", "info", "diamond"):
             for fmt in FORMATS:
                 out[f"ladder e={e} members bip {verb} {fmt}"] = [
                     ["bip", verb, "--bip", d, "--format", fmt]
                     for d in docs], ""
+        if e != PAIR_RUNG:
+            continue
+        # the canonical order puts the dominant member of a pair first
+        pairs = [(docs[x], docs[y])
+                 for x, y in combinations(range(len(members)), 2)
+                 if dominates(members[x], members[y])]
+        for fmt in FORMATS:
+            out[f"ladder e={e} dominating pairs js val {fmt}"] = [
+                ["js", "val", "--bip", a, "--bip", b, "--format", fmt]
+                for a, b in pairs], ""
     for name, member, p in (
             ("weight-1", bip((3, 1, 1, 1), ()), Params.make(4, (0, 3))),
             ("swapped nucleus", bip((), (5, 1, 1)), Params.make(4, (0, 1)))):
