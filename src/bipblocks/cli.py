@@ -31,8 +31,8 @@ from .blocks import (
 )
 from .crystal import is_restricted, is_regular, mu_diamond
 from .js import (
-    DecompMatrix, decomposition_matrix, dominating_pairs, matrix_from_members,
-    order_from_members, signed_sum,
+    DecompMatrix, _flag, decomposition_matrix, dominating_pairs,
+    matrix_from_members, order_from_members, signed_sum,
 )
 
 SOLVER_VERSION = 1
@@ -52,8 +52,55 @@ def _key_doc(key: BlockKey) -> dict:
 
 def serialize(value) -> str:
     """Canonical JSON text for the documented value types; a plain dict or
-    list is the document itself."""
+    list is the document itself. Every value prints as json.dumps(...,
+    indent=2) of its document; a matrix's text is written from its bound
+    table, without building the document."""
+    if isinstance(value, DecompMatrix):
+        return _matrix_text(value)
     return json.dumps(_doc(value), indent=2) + "\n"
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """json.dumps(indent=2)'s layout of a list at nesting ``depth`` whose
+    items are already JSON texts."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * depth
+    return f"[{pad}  " + f",{pad}  ".join(items) + f"{pad}]"
+
+
+def _json_object(fields: list[tuple[str, str]], depth: int) -> str:
+    """The same for an object, its values already JSON texts."""
+    pad = "\n" + "  " * depth
+    return ("{" + ",".join(f'{pad}  "{k}": {v}' for k, v in fields)
+            + f"{pad}}}")
+
+
+def _matrix_text(m: DecompMatrix) -> str:
+    """The matrix document {block, rows, cols, entries, jBounds, flags}
+    with json.dumps(indent=2)'s layout. Each bound j gets its three cell
+    texts once, entry, bound and flag, so neither the entries nor the
+    flags view is built."""
+    def ints(values, depth):
+        return _json_list(list(map(str, values)), depth)
+
+    def bip_text(b):
+        return _json_object([("comp1", ints(b.comp1, 3)),
+                             ("comp2", ints(b.comp2, 3))], 2)
+
+    bounds = {j for r in m.jbounds for j in r}
+    tables = [_json_list([_json_list(list(map(text.__getitem__, r)), 2)
+                          for r in m.jbounds], 1)
+              for text in ({j: str(int(j > 0)) for j in bounds},
+                           {j: str(j) for j in bounds},
+                           {j: json.dumps(_flag(j)) for j in bounds})]
+    block = _json_object([("n", str(m.block.n)),
+                          ("content", ints(m.block.content, 2))], 1)
+    return _json_object(
+        [("block", block),
+         ("rows", _json_list(list(map(bip_text, m.rows)), 1)),
+         ("cols", _json_list(list(map(bip_text, m.cols)), 1)),
+         *zip(("entries", "jBounds", "flags"), tables)], 0) + "\n"
 
 
 def _doc(value):
@@ -74,15 +121,6 @@ def _doc(value):
             "typeParams": None if value.type_params is None
             else list(value.type_params),
             "swapped": value.swapped,
-        }
-    elif isinstance(value, DecompMatrix):
-        doc = {
-            "block": _key_doc(value.block),
-            "rows": [_bip_doc(b) for b in value.rows],
-            "cols": [_bip_doc(b) for b in value.cols],
-            "entries": [list(r) for r in value.entries],
-            "jBounds": [list(r) for r in value.jbounds],
-            "flags": [list(r) for r in value.flags],
         }
     elif isinstance(value, VerifyReport):
         doc = {
@@ -153,8 +191,9 @@ def _parse_key_fields(doc: dict, where: str = "") -> BlockKey:
 
 
 def _parse_matrix(doc: dict) -> DecompMatrix:
-    """The matrix of a ``_doc`` or cache document. A field that is missing,
-    mistyped or out of shape, or a negative bound, raises ValueError."""
+    """The matrix of a ``serialize`` or cache document. A field that is
+    missing, mistyped or out of shape, or a negative bound, raises
+    ValueError."""
     rows, cols = (tuple(_parse_bip_fields(d, f"{name}.")
                         for d in _list_field(doc, name))
                   for name in ("rows", "cols"))
@@ -208,9 +247,10 @@ def cached_matrix(key: BlockKey, p: Params) -> DecompMatrix:
                     and (cached := _parse_matrix(doc)).block == key):
                 return cached
     matrix = decomposition_matrix(key, p)
-    doc = {**stamp, **_doc(matrix)}
-    del doc["entries"], doc["flags"]  # both derive from jBounds
-    text = json.dumps(doc)
+    text = json.dumps({**stamp, "block": _key_doc(matrix.block),
+                       "rows": [_bip_doc(b) for b in matrix.rows],
+                       "cols": [_bip_doc(b) for b in matrix.cols],
+                       "jBounds": matrix.jbounds})
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -298,9 +338,11 @@ def _solved_family(block_type: str, e: int, window: tuple[int, ...]):
     """The family a window names and its matrix, whose rows are the
     members in canonical order, solved once per process: cases share a
     (type, e, window). Both are immutable, so every hit returns what a
-    fresh solve would."""
+    fresh solve would. The solve ranks the labels' members itself, so
+    they are passed in label order and sorted once."""
     fam = family_from_type_params(block_type, e, window)
-    return fam, matrix_from_members(fam.members(), fam.params)
+    return fam, matrix_from_members(
+        tuple(lab.bipartition for lab in fam.labels), fam.params)
 
 
 def verify_case(spec: CaseSpec, e: Optional[int] = None,

@@ -20,6 +20,7 @@ from bipblocks.blocks import (
     BlockKey, _reduce_display, _rows, _xy_sets, block_key, enumerate_block,
     swap_components, weight_trace,
 )
+from bipblocks.cli import _bip_doc, _key_doc
 from bipblocks.crystal import StripTrace, is_restricted, signature
 from bipblocks import js
 from bipblocks.js import HookPair
@@ -203,6 +204,20 @@ def matrix_by_bips(members, p: Params):
     tables = (tuple(tuple(solved[c][t][lam] for c in range(len(cols)))
                     for lam in rows) for t in range(3))
     return (rows, cols, *tables)
+
+
+# The document cli.serialize used to build for a matrix before printing it
+# with json.dumps(indent=2), kept as the oracle of its matrix writer.
+
+def matrix_doc(m: js.DecompMatrix) -> dict:
+    return {
+        "block": _key_doc(m.block),
+        "rows": [_bip_doc(b) for b in m.rows],
+        "cols": [_bip_doc(b) for b in m.cols],
+        "entries": [list(r) for r in m.entries],
+        "jBounds": [list(r) for r in m.jbounds],
+        "flags": [list(r) for r in m.flags],
+    }
 
 
 # Partitions the package builds with the unchecked ``Partition._of``.

@@ -15,13 +15,14 @@ from hypothesis import given, strategies as st
 
 from bipblocks.core import Params, bip, canonical_sort
 from bipblocks.blocks import BlockKey, block_key
-from bipblocks import blocks, cli, js
+from bipblocks import blocks, cli, core, js
 from bipblocks.js import DecompMatrix, decomposition_matrix
 from bipblocks.cli import (
     CACHE_ENV, CASES, main, serialize, verify_case, cached_matrix, Check,
     _cache_path, _cache_stamp, _load_doc, _parse_bip_fields, _parse_matrix,
 )
-from helpers import bips_of, small_bips
+from fock import ladder_block, small_blocks
+from helpers import bips_of, matrix_doc, small_bips
 
 
 def run(*args, env=None):
@@ -121,7 +122,27 @@ class TestSerialization:
 
     @given(matrices())
     def test_any_matrix_round_trip(self, m):
-        assert parse_matrix(serialize(m)) == m
+        text = serialize(m)
+        assert parse_matrix(text) == m
+        # the matrix writer prints what json.dumps prints of the document
+        assert text == json.dumps(matrix_doc(m), indent=2) + "\n"
+
+    def test_matrix_text_of_solved_blocks(self):
+        # the writer against json.dumps of the document on every catalogue
+        # family, the ladder at e = 5 and 7 and every block with n <= 6 at
+        # e = 2 and 3, where some members have an empty component
+        solved = {cli._solved_family(s.block_type, s.default_e,
+                                     s.default_window)[1]
+                  for s in CASES.values()}
+        solved |= {js.matrix_from_members(*ladder_block(e)) for e in (5, 7)}
+        solved |= {js.matrix_from_members(members, p)
+                   for members, p in small_blocks(6, (2, 3))}
+        # 26 families, 2 rungs and 82 distinct small-block matrices; the
+        # e = 5 rung is III-1's family
+        assert len(solved) == 109
+        for m in solved:
+            assert serialize(m) == json.dumps(matrix_doc(m), indent=2) + \
+                "\n", m.block
 
     @given(st.dictionaries(st.sampled_from(DOC_KEYS), documents, max_size=6)
            | matrix_documents())
@@ -381,16 +402,31 @@ class TestCommands:
                               else "".join(f"{c}\n" for c in CASE_IDS))
 
     def test_verify_case_lists_members_once(self, monkeypatch):
-        # the members are listed once and passed to every probe
-        calls = []
-        members = blocks.BlockFamily.members
+        # the family's members are ranked once, by the solve, and every
+        # probe reads the matrix's rows: one dominance key per member. The
+        # order probe ranks the rows once more, inside order_from_members
+        keyed, in_order = [], []
+        key, order = core.dominance_key, cli.order_from_members
 
-        def counted(fam):
-            calls.append(fam)
-            return members(fam)
-        monkeypatch.setattr(blocks.BlockFamily, "members", counted)
-        assert verify_case(CASES["IV-5"]).overall
-        assert len(calls) == 1
+        def counted(b):
+            keyed.append(b)
+            return key(b)
+
+        def ordered(members, p):
+            before = len(keyed)
+            result = order(members, p)
+            in_order.append(keyed[before:])
+            del keyed[before:]
+            return result
+        monkeypatch.setattr(core, "dominance_key", counted)
+        monkeypatch.setattr(cli, "order_from_members", ordered)
+        spec = CASES["IV-5"]
+        assert verify_case(spec).overall
+        _, matrix = cli._solved_family(spec.block_type, spec.default_e,
+                                       spec.default_window)
+        assert len(keyed) == len(set(keyed)) == len(matrix.rows) > 0
+        assert set(keyed) == set(matrix.rows)
+        assert in_order == [list(matrix.rows)]
 
     def test_verify_case_reads_restrictedness_off_the_solve(self,
                                                             monkeypatch):
@@ -781,6 +817,17 @@ class TestCache:
         self._decomp_over(tmp_path, json.dumps(
             {**_cache_stamp(self.H5), **doc}, indent=indent))
 
+    def test_cache_file_bytes(self, tmp_path, monkeypatch):
+        # the payload is built from the bound table: its bytes are those of
+        # the matrix document beside the stamp, entries and flags deleted
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        members, p = ladder_block(5)
+        matrix = cached_matrix(block_key(members[0], p)[0], p)
+        doc = {**_cache_stamp(p), **matrix_doc(matrix)}
+        del doc["entries"], doc["flags"]
+        (path,) = tmp_path.glob("*.json")
+        assert path.read_bytes() == self._digested(json.dumps(doc)).encode()
+
     def test_cache_document_records_its_parameters(self, tmp_path):
         run("decomp", "--bip", H5DOC, env={CACHE_ENV: str(tmp_path)})
         (path,) = tmp_path.glob("*.json")
@@ -1109,12 +1156,26 @@ def test_benchmark_bindings_are_traced():
     root = Path(__file__).resolve().parents[1]
     script = textwrap.dedent("""
         import json
+        import os
+        import tempfile
+        from click.testing import CliRunner
         import spans
         from bipblocks import blocks, cli, js
         from bipblocks.core import Params, bip
+        # the e = 5 ladder block, keyed before the bindings are wrapped
+        fam = blocks.family_from_type_params("III", 5, (0, 1, 1, 2, 3))
+        key = blocks.block_key(fam.labels[0].bipartition, fam.params)[0]
+        block = json.dumps({"e": 5, "kappa": list(fam.params.kappa),
+                            "n": key.n, "content": list(key.content)})
         tracer = spans.Tracer()
         spans.instrument(tracer)
         cli.verify_case(cli.CASES["IV-e2-H5"])
+        clamped = tracer.counts["js.clamped_entries"]
+        # one cold decomp through the command, as the benchmark runs it
+        with tempfile.TemporaryDirectory() as cache:
+            res = CliRunner().invoke(cli.main, ["decomp", "--block", block],
+                                     env={cli.CACHE_ENV: cache})
+            decomp = [res.exit_code, len(os.listdir(cache))]
         # the solver's table builds no RimHook: single pairs still read
         # js._hook_data and js.rim_hooks
         js.hook_pairs(bip((3,), ()), bip((1, 1, 1), ()),
@@ -1129,27 +1190,30 @@ def test_benchmark_bindings_are_traced():
         print(json.dumps([sorted({s[0] for s in recs}),
                           tracer.counts["crystal.signature"],
                           sorted(under_analysis),
-                          [desc.weight, desc.is_core],
-                          tracer.counts["js.clamped_entries"]]))
+                          [desc.weight, desc.is_core], clamped, decomp]))
     """)
     path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
     res = subprocess.run([sys.executable, "-c", script], cwd=root,
                          env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    names, signatures, under_analysis, desc, clamped = json.loads(res.stdout)
+    names, signatures, under_analysis, desc, clamped, decomp = json.loads(
+        res.stdout)
     assert {"cli.verify_case", "js.matrix_from_members", "js.solve_column",
             "blocks.family_from_type_params", "js.valuation_table",
             "js.hook_data", "core.rim_hooks", "crystal.is_restricted",
             "crystal.mu_diamond", "blocks.weight", "blocks.classify_type",
             "blocks.analyze_member", "blocks.member_of", "blocks.block_key",
-            "abacus.display"} <= set(names)
+            "abacus.display", "cli.cached_matrix", "js.decomposition_matrix",
+            "cli.serialize"} <= set(names)
     # classification keys the member and reads its display
     assert desc == [3, False]
     assert {"blocks.block_key", "abacus.display"} <= set(under_analysis)
     assert signatures > 0
     # the clamped cells of the IV-e2-H5 matrix, read off the solve's flags
     assert clamped == 6
+    # the decomp solved the block, wrote its cache file and printed it
+    assert decomp == [0, 1]
 
 
 @pytest.mark.parametrize("claim", ["catalogue", "catalogue:wall",

@@ -30,7 +30,10 @@ compares their outputs:
   kappa = (0,3), and on the weight-3 block of (-|5,1,1) at e = 4,
   kappa = (0,1), whose nucleus only the swapped component order finds;
 - every ``$ bipblocks`` example in this checkout's README, the cached
-  ``decomp`` under an empty cache directory.
+  ``decomp`` under an empty cache directory;
+- last, the bytes of the cache files that the ladder's cached ``decomp``
+  runs left behind, one file per rung and format, in that order: the
+  entry holds the file count and the SHA-256 of their bytes.
 
 Each command runs in both formats where it has two, in one in-process
 ``click.testing.CliRunner`` run, in the order listed. Its entry holds the
@@ -44,6 +47,7 @@ takes about 8 s on a 2-vCPU host.
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -59,6 +63,8 @@ FORMATS = ("json", "table")
 MEMBER_RUNGS = (5, 7)
 # the rung whose every strictly dominating pair of members runs js val
 PAIR_RUNG = 5
+# the cache directory of a rung's cached decomp runs in one format
+CACHE_SUB = "e{e}-{fmt}"
 
 
 def readme_examples(path: str) -> list[list[str]]:
@@ -112,9 +118,10 @@ def commands() -> dict[str, tuple[list[list[str]], str]]:
                 out[f"ladder e={e} {' '.join(verb)} {fmt}"] = [[
                     *verb, "--block", doc, "--format", fmt]], ""
         for fmt in FORMATS:
+            sub = CACHE_SUB.format(e=e, fmt=fmt)
             for run in ("write", "read"):
                 out[f"ladder e={e} decomp cached {run} {fmt}"] = [[
-                    "decomp", "--block", doc, "--format", fmt]], f"e{e}-{fmt}"
+                    "decomp", "--block", doc, "--format", fmt]], sub
         if e not in MEMBER_RUNGS:
             continue
         members = fam.members()
@@ -171,6 +178,15 @@ def main() -> None:
                 status = max(status, res.exit_code)
                 sha.update(res.output.encode())
             digests[name] = {"exit": status, "sha256": sha.hexdigest()}
+        files = [path for e in LADDER for fmt in FORMATS
+                 for path in sorted(glob.glob(os.path.join(
+                     cache, CACHE_SUB.format(e=e, fmt=fmt), "*.json")))]
+        sha = hashlib.sha256()
+        for path in files:
+            with open(path, "rb") as fh:
+                sha.update(fh.read())
+        digests["ladder decomp cache files"] = {"files": len(files),
+                                                "sha256": sha.hexdigest()}
     json.dump(digests, sys.stdout, indent=2)
     print()
 
