@@ -318,9 +318,21 @@ def _case_namespace(spec: CaseSpec, e: int, window: tuple[int, ...]) -> dict:
     return ns
 
 
+# above the 80 distinct probe and condition strings of the catalogue
+_PROBE_CODE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_PROBE_CODE_SIZE)
+def _probe_code(expr: str):
+    """A probe or condition string compiled once per process: the cases
+    share most of their strings, and every window evaluates them again."""
+    return compile(expr, "<probe>", "eval")
+
+
 def _eval(expr: str, ns: dict):
     # the namespace goes in globals so comprehension scopes can see it
-    return eval(expr, {"__builtins__": {"range": range}, **ns})  # noqa: S307
+    return eval(_probe_code(expr),  # noqa: S307
+                {"__builtins__": {"range": range}, **ns})
 
 
 # the largest e verify solves. A family has 2ez + (e-z) + z(z-1)/2 (e-z)
@@ -357,7 +369,15 @@ def verify_case(spec: CaseSpec, e: Optional[int] = None,
     if e > _MAX_VERIFY_E:
         raise ValueError(f"e must be at most {_MAX_VERIFY_E}")
     ns = _case_namespace(spec, e, window)
-    if not _eval(spec.conditions, ns):
+
+    def ev(expr):
+        try:
+            return _eval(expr, ns)
+        except SyntaxError as exc:
+            raise ValueError(f"{spec.case_id}: malformed probe {expr!r}: "
+                             f"{exc.msg}") from None
+
+    if not ev(spec.conditions):
         raise ValueError(f"instantiation {window} violates "
                          f"'{spec.conditions}'")
     fam, matrix = _solved_family(spec.block_type, e, window)
@@ -365,7 +385,7 @@ def verify_case(spec: CaseSpec, e: Optional[int] = None,
 
     def member(name, expr):
         """(args, member) per args tuple: expr gives one, or a list."""
-        args = _eval(expr, ns)
+        args = ev(expr)
         try:
             return [(tuple(a), fam.bip_of(name, a))
                     for a in ([args] if isinstance(args, tuple) else args)]
@@ -389,12 +409,13 @@ def verify_case(spec: CaseSpec, e: Optional[int] = None,
             got = mu_diamond(mu, fam.params)
             record("mu partner", _bip_doc(want), _bip_doc(got))
         elif kind == "member-count":
-            record("member count", _eval(payload[0], ns), len(matrix.rows))
+            record("member count", ev(payload[0]), len(matrix.rows))
         elif kind == "restricted-count":
             record("restricted columns", payload[0], len(matrix.cols))
         elif kind == "column-max":
+            # an entry is [j > 0], so the largest is read off the bounds
             record("largest entry", payload[0],
-                   max(map(max, matrix.entries)))
+                   int(max(map(max, matrix.jbounds)) > 0))
         elif kind in ("dn", "jbound"):
             name, argexpr, value = payload
             get = matrix.entry if kind == "dn" else matrix.jbound

@@ -1,7 +1,8 @@
 """Partitions, bipartitions, Young diagrams, residues, dominance and rim hooks.
 
 Everything here is an immutable value. All functions are pure, except
-``remove_cell``, which edits the part lists and corner codes it is given.
+``remove_cell`` and its mirror ``add_cell``, which edit the part lists and
+corner codes they are given.
 One row walk, ``corner_codes``, reads the addable and removable cells of a
 bipartition as integer codes; ``corners`` and ``code_cell`` decode them.
 """
@@ -259,6 +260,43 @@ def remove_cell(comps, codes, off: int, code: int, p: Params) -> None:
     parts[r - 1] -= 1
     if not parts[r - 1]:
         parts.pop()
+
+
+def add_cell(comps, codes, off: int, code: int, p: Params) -> None:
+    """Add the addable cell of ``corner_codes`` code to two part lists, in
+    place, and edit ``codes`` to those of the larger lists: the mirror of
+    ``remove_cell``. ``off`` must stay above the rows component 1 can
+    reach, so a walk that grows the lists fixes it in advance. With (r, c)
+    the cell and i its residue:
+
+    - i: the addable (r, c) becomes the removable (r, c), code + 1;
+    - i + 1: the addable (r, c + 1), code, comes in if r = 1 or row r - 1
+      is longer than c; else the removable (r - 1, c), code - 1, goes;
+    - i - 1: the addable (r + 1, c), code + 2, comes in if row r + 1 has
+      c - 1 cells; else the removable (r, c - 1), code + 1, goes."""
+    e, r = len(codes), code >> 1
+    if r < off:
+        parts, k = comps[0], p.kappa[0]
+    else:
+        r -= off
+        parts, k = comps[1], p.kappa[1]
+    if r > len(parts):
+        parts.append(0)
+    c = parts[r - 1] + 1
+    i = (k + c - r) % e
+    sig = codes[i]
+    sig[bisect_left(sig, code)] = code + 1
+    sig = codes[(i + 1) % e]
+    if r == 1 or parts[r - 2] > c:
+        insort(sig, code)
+    else:
+        del sig[bisect_left(sig, code - 1)]
+    sig = codes[(i - 1) % e]
+    if (parts[r] if r < len(parts) else 0) == c - 1:
+        insort(sig, code + 2)
+    else:
+        del sig[bisect_left(sig, code + 1)]
+    parts[r - 1] = c
 
 
 def boundary_nodes(b: Bipartition, p: Params):

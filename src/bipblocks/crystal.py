@@ -14,10 +14,11 @@ The good-node strip reads the raw signatures of every residue, as sorted
 integer codes, from one ``core.corner_codes`` walk and keeps them from
 step to step: removing an i-node edits one code in each of the residues
 i - 1, i and i + 1 (``core.remove_cell``), and only those three are
-cancelled again. The reading order, the residues of the cells and the
-code stay in ``core``; this module does the cancellation. ``signature``
-walks afresh and decodes one residue into cells for its full report,
-which the diamond's walk back and the tests read.
+cancelled again. The diamond's walk back keeps codes the same way and
+grows them with ``core.add_cell``. The reading order, the residues of the
+cells and the code stay in ``core``; this module does the cancellation.
+``signature`` walks afresh and decodes one residue into cells for its
+full report, which the tests read as the oracle of both walks.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    EMPTY_BIP, Bipartition, InvariantError, Node, Params, Partition,
-    add_node, code_cell, conjugate, corner_codes, remove_cell,
+    Bipartition, InvariantError, Node, Params, Partition, add_cell,
+    code_cell, conjugate, corner_codes, remove_cell,
 )
 # Bound but not called: perfbench/spans.py::instrument wraps these names in
 # this module, and test_benchmark_bindings_are_traced fails if one is gone.
@@ -150,17 +151,35 @@ def mu_diamond(mu: Bipartition, p: Params) -> Bipartition:
     fixes the empty bipartition: strip the good nodes of ``mu``, then add
     the anticogood node of each stripped residue to the empty bipartition,
     in reverse order. A bipartition that is not restricted is refused.
+
+    The walk back keeps the raw signatures as ``core.corner_codes`` codes
+    and adds each node with ``core.add_cell``. The partner has |mu| cells,
+    so component 2's rows are coded from off = |mu| + 2 throughout. The
+    anticogood node is the first even ("+") code left after "+-"
+    cancellation: the bottom of the stack of uncancelled "+" codes.
     """
     ok, trace = is_restricted(mu, p)
     if not ok:
         raise ValueError(f"not restricted: the good-node strip of {mu} "
                          f"stops at {trace.terminal}")
-    cur = EMPTY_BIP
+    # the empty bipartition's two addable cells, row 1 of each component
+    comps, off, codes = [[], []], mu.size + 2, [[] for _ in range(p.e)]
+    codes[p.kappa[0]].append(2)
+    codes[p.kappa[1]].append(2 * off + 2)
     for i in reversed(trace.residues):
-        rep = signature(cur, i, p)
-        if rep.anticogood is None:
+        depth = 0
+        for code in codes[i]:
+            if not code & 1:
+                if not depth:
+                    bottom = code
+                depth += 1
+            elif depth:
+                depth -= 1
+        if not depth:
+            cur = Bipartition(Partition._of(comps[0]),
+                              Partition._of(comps[1]))
             raise InvariantError(
                 f"diamond: {cur} has no anticogood {i}-node to add on the "
                 f"way back to the partner of {mu}")
-        cur = add_node(cur, rep.anticogood)
-    return cur
+        add_cell(comps, codes, off, bottom, p)
+    return Bipartition(Partition._of(comps[0]), Partition._of(comps[1]))

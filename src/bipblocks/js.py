@@ -168,8 +168,12 @@ class JSOrder:
     members: tuple[Bipartition, ...]
     strict: frozenset[tuple[int, int]]
 
+    @cached_property
+    def _at(self) -> dict:
+        return {m: i for i, m in enumerate(self.members)}
+
     def dominates(self, a: Bipartition, b: Bipartition) -> bool:
-        at = {m: i for i, m in enumerate(self.members)}
+        at = self._at
         return a == b or (at.get(a), at.get(b)) in self.strict
 
 

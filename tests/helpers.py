@@ -371,6 +371,17 @@ def diamond_by_weight(mu: Bipartition, p: Params) -> Bipartition:
     return cur
 
 
+# The diamond's walk back with a full signature at every step, the oracle of
+# the kept codes of crystal.mu_diamond: strip the good nodes, then add the
+# anticogood node of each stripped residue, in reverse order.
+
+def diamond_by_signatures(mu: Bipartition, p: Params) -> Bipartition:
+    cur = EMPTY_BIP
+    for i in reversed(is_restricted(mu, p)[1].residues):
+        cur = add_node(cur, signature(cur, i, p).anticogood)
+    return cur
+
+
 # The good-node strip with a full signature of every residue at every step,
 # the oracle of the kept signatures of crystal.is_restricted.
 

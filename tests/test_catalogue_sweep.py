@@ -40,7 +40,10 @@ def test_sweep_to_e5(monkeypatch):
     solve, matrices = cli.matrix_from_members, {}
 
     def matrix(members, p):
-        key = (tuple(members), p)
+        # the keyed tuple goes to the solver: a one-shot iterable is read
+        # only once
+        members = tuple(members)
+        key = (members, p)
         if key not in matrices:
             matrices[key] = solve(members, p)
         return matrices[key]

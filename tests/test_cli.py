@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -210,6 +211,37 @@ class TestVerifier:
         monkeypatch.setattr(cli, "_solved_family", solve)
         with pytest.raises(LookupError):
             verify_case(CASES["III-8"], 20, (0, 2, 3, 3, 3))
+
+    @pytest.mark.parametrize("expr", ["__import__('os')", "open",
+                                      "open('probe.txt')",
+                                      "[x for x in range(i) if len(x)]",
+                                      "[0 for x in range(e)] and open"])
+    def test_probe_sees_only_its_namespace(self, expr):
+        # the window, e and range: any other name is refused, on the
+        # first evaluation and on the compiled code's reuse
+        for _ in range(2):
+            with pytest.raises(NameError):
+                cli._eval(expr, {"i": 1, "e": 5})
+
+    @pytest.mark.parametrize("field,expr", [("conditions", "k<"),
+                                            ("probe", "2*e*"),
+                                            ("probe", "(i,,i-1,2)")])
+    def test_malformed_probe_names_its_case(self, monkeypatch, field, expr):
+        spec = CASES["II-main"]
+        if field == "conditions":
+            spec = dataclasses.replace(spec, conditions=expr)
+        else:
+            spec = dataclasses.replace(spec, probes=spec.probes + (
+                cli.Probe("member-count", (expr,), "x"),
+                cli.Probe("dn", ("hook", expr, 0), "x")))
+        message = f"II-main: malformed probe {expr!r}: "
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            verify_case(spec)
+        # the command prints it as its error and exits 1
+        monkeypatch.setitem(CASES, "II-main", spec)
+        res = run("verify", "--case", "II-main")
+        assert res.exit_code == 1
+        assert res.output.startswith(f"error: {message}")
 
     def test_verify_all_json(self):
         res = run("verify", "--all", "--format", "json")
@@ -1160,7 +1192,7 @@ def test_benchmark_bindings_are_traced():
         import tempfile
         from click.testing import CliRunner
         import spans
-        from bipblocks import blocks, cli, js
+        from bipblocks import blocks, cli, crystal, js
         from bipblocks.core import Params, bip
         # the e = 5 ladder block, keyed before the bindings are wrapped
         fam = blocks.family_from_type_params("III", 5, (0, 1, 1, 2, 3))
@@ -1180,6 +1212,10 @@ def test_benchmark_bindings_are_traced():
         # js._hook_data and js.rim_hooks
         js.hook_pairs(bip((3,), ()), bip((1, 1, 1), ()),
                       Params.make(3, (0, 0)))
+        # the diamond walks back on kept codes: a signature report is
+        # read only by a direct call
+        crystal.signature(bip((3, 2, 1, 1), (2, 2, 2)), 0,
+                          Params.make(3, (0, 1)))
         # a non-core weight-3 block, keyed without a traced call
         desc = blocks.classify_type(blocks.BlockKey(10, (2, 3, 3, 2)),
                                     Params.make(4, (0, 3)))

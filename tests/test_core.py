@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from bipblocks.core import (
     Params, Partition, Bipartition, Node, bip, EMPTY_BIP,
     residue, conjugate, dominates, dominance_key,
-    boundary_nodes, corner_codes, corners, remove_cell,
+    add_cell, boundary_nodes, corner_codes, corners, remove_cell,
     rim_hooks,
     partitions, bipartitions,
     add_node, remove_node, canonical_sort,
@@ -312,6 +312,46 @@ class TestRemoveCellOracle:
                         check(b, nd)
                     for nd in addable_nodes(b):
                         check(add_node(b, nd), nd)
+
+
+class TestAddCellOracle:
+    """``add_cell`` against a rescan of the larger bipartition, for every
+    addable cell, with component 2 coded from a fixed offset above every
+    row component 1 reaches."""
+
+    def test_empty_bipartition(self):
+        # adding (1, 1) of (-|-) at kappa (0, 1) with off = 3: the addable
+        # (1, 1) turns removable (code 2 -> 3 in residue 0), the addable
+        # (1, 2) comes in (code 2 in residue 1), and so does the addable
+        # (2, 1) (code 4 in residue 2); (-|1)'s row 1 keeps code 8
+        p = Params.make(3, (0, 1))
+        comps, codes = [[], []], [[2], [8], []]
+        add_cell(comps, codes, 3, 2, p)
+        assert comps == [[1], []]
+        assert codes == [[3], [2, 8], [4]]
+
+    @pytest.mark.parametrize("e", [2, 3, 4, 5])
+    def test_every_small_bipartition(self, e):
+        for kappa in product(range(e), repeat=2):
+            p = Params.make(e, kappa)
+            for n in range(8):
+                # the fixed offset of a walk that grows to n + 1 cells
+                off = n + 3
+                for b in bips_of(n):
+                    for nd in addable_nodes(b):
+                        comps = [list(b.comp1), list(b.comp2)]
+                        off_b, codes = corner_codes(b, p)
+                        codes = [[c + 2 * (off - off_b) if c >> 1 >= off_b
+                                  else c for c in sig] for sig in codes]
+                        add_cell(comps, codes, off,
+                                 code_of(nd, False, off), p)
+                        big = add_node(b, nd)
+                        assert comps == [list(big.comp1), list(big.comp2)]
+                        off_big, want = corner_codes(big, p)
+                        want = [[c + 2 * (off - off_big)
+                                 if c >> 1 >= off_big else c for c in sig]
+                                for sig in want]
+                        assert codes == want, (b, nd, p)
 
 
 class TestRimHooks:

@@ -1,4 +1,3 @@
-import dataclasses
 from itertools import product
 
 import pytest
@@ -16,8 +15,8 @@ from bipblocks.crystal import (
 )
 import helpers
 from helpers import (
-    small_bips, params_st, bips_of, diamond_by_weight, is_checked,
-    is_e_restricted, strip_by_signatures, weight_one_diamond,
+    small_bips, params_st, bips_of, diamond_by_signatures, diamond_by_weight,
+    is_checked, is_e_restricted, strip_by_signatures, weight_one_diamond,
 )
 
 P31 = Params.make(3, (0, 1))
@@ -183,10 +182,14 @@ class TestDiamond:
             weight_one_diamond(xi, p)
 
     def test_missing_anticogood_node(self, monkeypatch):
-        real = crystal.signature
-        monkeypatch.setattr(crystal, "signature", lambda b, i, p:
-                            dataclasses.replace(real(b, i, p),
-                                                anticogood=None))
+        # kept codes that lose every cell after the first step back
+        real = crystal.add_cell
+
+        def add_and_clear(comps, codes, off, code, p):
+            real(comps, codes, off, code, p)
+            for sig in codes:
+                sig.clear()
+        monkeypatch.setattr(crystal, "add_cell", add_and_clear)
         with pytest.raises(InvariantError, match=r"diamond: .* has no "
                            r"anticogood \d-node to add on the way back to "
                            r"the partner of \(-\|2,1,1,1\)"):
@@ -325,4 +328,16 @@ class TestDiamondOracle:
                     if is_restricted(b, p)[0]:
                         partner = mu_diamond(b, p)
                         assert partner == diamond_by_weight(b, p), (b, p)
+                        assert partner == diamond_by_signatures(b, p), \
+                            (b, p)
                         assert is_checked(partner), (b, p)
+
+    def test_tall_column(self):
+        # 4,000 steps back on the kept codes, component 2 coded from
+        # off = 4,002 while component 1 grows to three rows
+        p = Params.make(4, (0, 3))
+        column = bip((), (1,) * 4000)
+        partner = mu_diamond(column, p)
+        assert partner == diamond_by_signatures(column, p)
+        assert partner == bip((1333, 1332, 1332), (1, 1, 1))
+        assert is_checked(partner)

@@ -9,12 +9,14 @@ so running it with ``--root`` on two checkouts and diffing the two files
 compares their outputs:
 
 - ``verify --all`` and ``verify --case`` for every catalogue case, then
-  ``verify --case`` for III-1, III-14 and III-18 at e = 7, one entry per
-  format. ``verify`` solves each (type, e, window) once per process, so
-  every ``verify --case`` after ``verify --all`` reads its family from the
-  memo, and of the three cases at e = 7, which share a family, only the
-  first json run solves; comparing with a checkout that solves every case
-  afresh checks that a memo hit prints what a cold solve prints;
+  ``verify --case`` for III-1, III-14 and III-18 at e = 7, and for IV-5,
+  IV-6 and IV-9 at e = 6, whose tau and order probes then run off their
+  default windows, one entry per format. ``verify`` solves each (type, e,
+  window) once per process, so every ``verify --case`` after
+  ``verify --all`` reads its family from the memo, and of the three cases
+  at e = 7, which share a family, only the first json run solves;
+  comparing with a checkout that solves every case afresh checks that a
+  memo hit prints what a cold solve prints;
 - ``decomp --no-cache``, ``js order``, ``block info``,
   ``block exceptional`` and ``block enumerate`` on the type-III block at
   the window (0,1,1,2,3) for e = 5, 7, 9 and 11;
@@ -107,6 +109,9 @@ def commands() -> dict[str, tuple[list[list[str]], str]]:
         out[f"verify --case III-1,III-14,III-18 --e 7 {fmt}"] = [
             ["verify", "--case", case_id, "--e", "7", "--format", fmt]
             for case_id in ("III-1", "III-14", "III-18")], ""
+        out[f"verify --case IV-5,IV-6,IV-9 --e 6 {fmt}"] = [
+            ["verify", "--case", case_id, "--e", "6", "--format", fmt]
+            for case_id in ("IV-5", "IV-6", "IV-9")], ""
     for e in LADDER:
         fam = family_from_type_params("III", e, WINDOW)
         p = fam.params
