@@ -332,6 +332,12 @@ class TestAddCellOracle:
 
     @pytest.mark.parametrize("e", [2, 3, 4, 5])
     def test_every_small_bipartition(self, e):
+        def codes_at(b, off):
+            """corner_codes of b with component 2 coded from off."""
+            off_b, codes = corner_codes(b, p)
+            return [[c + 2 * (off - off_b) if c >> 1 >= off_b else c
+                     for c in sig] for sig in codes]
+
         for kappa in product(range(e), repeat=2):
             p = Params.make(e, kappa)
             for n in range(8):
@@ -340,18 +346,12 @@ class TestAddCellOracle:
                 for b in bips_of(n):
                     for nd in addable_nodes(b):
                         comps = [list(b.comp1), list(b.comp2)]
-                        off_b, codes = corner_codes(b, p)
-                        codes = [[c + 2 * (off - off_b) if c >> 1 >= off_b
-                                  else c for c in sig] for sig in codes]
+                        codes = codes_at(b, off)
                         add_cell(comps, codes, off,
                                  code_of(nd, False, off), p)
                         big = add_node(b, nd)
                         assert comps == [list(big.comp1), list(big.comp2)]
-                        off_big, want = corner_codes(big, p)
-                        want = [[c + 2 * (off - off_big)
-                                 if c >> 1 >= off_big else c for c in sig]
-                                for sig in want]
-                        assert codes == want, (b, nd, p)
+                        assert codes == codes_at(big, off), (b, nd, p)
 
 
 class TestRimHooks:
