@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 from .core import (
     Bipartition, InvariantError, Params, Partition, _beta_set,
-    _partition_from_beta, canonical_sort, corner_codes,
+    _partition_from_beta, canonical_sort, corners,
 )
 from .abacus import (
     AbacusDisplay, display, from_display, gamma_vector, is_bicore, push_up,
@@ -71,20 +71,20 @@ class WeightTrace:
 
 
 def _swap_candidates(g: dict[int, int]):
-    best = None
-    for x, gx in g.items():
-        for y, gy in g.items():
-            if gx - gy >= 3:
-                cand = (gx - gy, x, y)
-                if best is None or cand > best:
-                    best = cand
-    return best
+    """The largest (g_x - g_y, x, y) with a gap of at least 3: the max - min
+    gap, at the largest runners x at the max and y at the min."""
+    hi, lo = max(g.values()), min(g.values())
+    if hi - lo < 3:
+        return None
+    return (hi - lo, max(x for x in g if g[x] == hi),
+            max(y for y in g if g[y] == lo))
 
 
 def _xy_sets(g: dict[int, int]) -> tuple[frozenset[int], frozenset[int]]:
-    xs = {x for x in g for y in g if g[x] - g[y] == 2}
-    ys = {y for y in g for x in g if g[x] - g[y] == 2}
-    return frozenset(xs), frozenset(ys)
+    """The runners x and y of the gamma gaps g_x - g_y = 2."""
+    values = set(g.values())
+    return (frozenset(x for x in g if g[x] - 2 in values),
+            frozenset(y for y in g if g[y] + 2 in values))
 
 
 def _reduce_display(d: AbacusDisplay):
@@ -273,12 +273,11 @@ def _extract_type_params(xi: Bipartition, p: Params, btype: str):
     """Integers (i, j, k, l[, m]) from the nucleus boundary, or None if
     the orientation convention fails."""
     e = p.e
-    off, codes = corner_codes(xi, _shifted(p))
     # per component, in reading order: a component's two addable residues
     # lie just past its top-right and its bottom-left corner
     rem, add = [[], []], [[], []]
-    for code, i in sorted((c, i) for i, sig in enumerate(codes) for c in sig):
-        (rem if code & 1 else add)[code >> 1 >= off].append(i)
+    for a, _, _, i, sign in corners(xi, _shifted(p)):
+        (rem if sign == "-" else add)[a - 1].append(i)
 
     shape = [len(r) for r in rem + add]
     if btype == "II" and shape == [1, 0, 2, 1]:
@@ -543,13 +542,10 @@ def exceptional_labels(fam: BlockFamily) -> list[MemberLabel]:
     pos = [i for i, dv in enumerate(delta) if dv >= 1]
     if not pos:
         return []
-    out = []
-    for lab in fam.labels:
-        codes = corner_codes(lab.bipartition, p)[1]
-        # an even code is an addable cell
-        if all(any(c & 1 == 0 for c in codes[i]) for i in pos):
-            out.append(lab)
-    return out
+    def addable(b):
+        return {i for _, _, _, i, sign in corners(b, p) if sign == "+"}
+    return [lab for lab in fam.labels
+            if addable(lab.bipartition).issuperset(pos)]
 
 
 def exceptional_bips(key: BlockKey, p: Params) -> list[MemberLabel]:

@@ -630,14 +630,13 @@ def verify_all() -> list[VerifyReport]:
 # rendering
 
 def _render_matrix_table(m: DecompMatrix) -> str:
+    """Aligned text from the bound table, each bound's cell text made once."""
+    bounds = {j for r in m.jbounds for j in r}
+    text = {j: str(int(j > 0)) + ("*" if _flag(j) == "clamped" else "")
+            for j in bounds}
     head = [""] + [str(c) for c in m.cols]
-    body = []
-    for r, lam in enumerate(m.rows):
-        cells = [str(lam)]
-        for c in range(len(m.cols)):
-            mark = "*" if m.flags[r][c] == "clamped" else ""
-            cells.append(f"{m.entries[r][c]}{mark}")
-        body.append(cells)
+    body = [[str(lam), *map(text.__getitem__, r)]
+            for lam, r in zip(m.rows, m.jbounds)]
     widths = [max(len(row[c]) for row in [head] + body)
               for c in range(len(head))]
     lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths))

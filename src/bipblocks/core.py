@@ -5,6 +5,8 @@ Everything here is an immutable value. All functions are pure, except
 corner codes they are given.
 One row walk, ``corner_codes``, reads the addable and removable cells of a
 bipartition as integer codes; ``corners`` and ``code_cell`` decode them.
+Only this module encodes or decodes a code: other modules read cells
+through those two, or keep codes whole and test only their sign bit.
 """
 
 from __future__ import annotations
@@ -188,6 +190,7 @@ def corner_codes(comps, p: Params) -> tuple[int, list[list[int]]]:
     reading order. Row r of component a codes as 2 * (r + off_a) + s: s is
     1 for a removable ("-") cell, 0 for an addable ("+") one; off_1 = 0 and
     off_2 = off = len(comps[0]) + 2, which holds while the parts shrink.
+    Trailing zero parts of component 1 add no cell and only raise off.
     Row r - 1 has a removable cell exactly when it is longer than row r,
     and then row r has an addable one, of another residue."""
     e, off = p.e, len(comps[0]) + 2

@@ -15,8 +15,8 @@ integer codes, from one ``core.corner_codes`` walk and keeps them from
 step to step: removing an i-node edits one code in each of the residues
 i - 1, i and i + 1 (``core.remove_cell``), and only those three are
 cancelled again. The diamond's walk back keeps codes the same way and
-grows them with ``core.add_cell``. The reading order, the residues of the
-cells and the code stay in ``core``; this module does the cancellation.
+grows them with ``core.add_cell``. The code stays in ``core``: this module
+writes none and reads only the sign bit, to do the cancellation.
 ``signature`` walks afresh and decodes one residue into cells for its
 full report, which the tests read as the oracle of both walks.
 """
@@ -162,10 +162,9 @@ def mu_diamond(mu: Bipartition, p: Params) -> Bipartition:
     if not ok:
         raise ValueError(f"not restricted: the good-node strip of {mu} "
                          f"stops at {trace.terminal}")
-    # the empty bipartition's two addable cells, row 1 of each component
-    comps, off, codes = [[], []], mu.size + 2, [[] for _ in range(p.e)]
-    codes[p.kappa[0]].append(2)
-    codes[p.kappa[1]].append(2 * off + 2)
+    # the empty bipartition, its |mu| empty rows putting off at |mu| + 2
+    off, codes = corner_codes(([0] * mu.size, ()), p)
+    comps = [[], []]
     for i in reversed(trace.residues):
         depth = 0
         for code in codes[i]:

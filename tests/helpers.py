@@ -113,6 +113,28 @@ def delta_by_corners(b: Bipartition, p: Params) -> tuple[int, ...]:
     return tuple(out)
 
 
+# The pairwise gamma-gap searches that blocks._swap_candidates and
+# blocks._xy_sets replaced by one pass over the gamma vector, kept as their
+# oracle: the lexicographically largest (gap, x, y) with a gap of at least
+# 3, and the runners of the gaps of exactly 2.
+
+def swap_candidates_pairwise(g: dict[int, int]):
+    best = None
+    for x, gx in g.items():
+        for y, gy in g.items():
+            if gx - gy >= 3:
+                cand = (gx - gy, x, y)
+                if best is None or cand > best:
+                    best = cand
+    return best
+
+
+def xy_sets_pairwise(g: dict[int, int]):
+    xs = {x for x in g for y in g if g[x] - g[y] == 2}
+    ys = {y for y in g for x in g if g[x] - g[y] == 2}
+    return frozenset(xs), frozenset(ys)
+
+
 # The type II branches that blocks.family_from_type_params and
 # blocks._z_from_params replaced by the type IV formulas at m = e+i-1, kept
 # as their oracle: the nucleus, kappa and Z-set of the window (i, j, k, l).

@@ -19,7 +19,7 @@ from bipblocks.blocks import (
 from helpers import (
     small_bips, params_st, bips_of, is_checked, members_unpruned, diagram,
     labels_by_display, labels_by_reduction, delta_by_corners,
-    type_ii_by_own_formulas,
+    type_ii_by_own_formulas, swap_candidates_pairwise, xy_sets_pairwise,
 )
 
 P43 = Params.make(4, (0, 3))
@@ -76,7 +76,7 @@ class TestBlockKey:
     def test_no_boundary_scan(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("block_key scanned the boundary")
-        monkeypatch.setattr(blocks, "corner_codes", refuse)
+        monkeypatch.setattr(blocks, "corners", refuse)
         key, delta = block_key(B32, P43)
         assert key == BlockKey(10, (2, 3, 3, 2)) and delta == (-2, 1, 1, -2)
 
@@ -144,6 +144,17 @@ class TestWeight:
                 smaller = remove_node(smaller, nd)
             assert weight(smaller, p) == weight(b, p) + u * (delta - u)
             checks += 1
+
+
+class TestGammaGaps:
+    @pytest.mark.parametrize("e", [2, 3, 4])
+    def test_against_pairwise_search(self, e):
+        # every gamma vector in [-4, 4]^e: 81, 729 and 6,561 vectors
+        for values in product(range(-4, 5), repeat=e):
+            g = dict(enumerate(values))
+            assert blocks._swap_candidates(g) == \
+                swap_candidates_pairwise(g), g
+            assert blocks._xy_sets(g) == xy_sets_pairwise(g), g
 
 
 class TestClosedFormWeightOracle:
@@ -591,6 +602,16 @@ class TestExceptional:
         bips = {lab.bipartition for lab in exceptional_labels(fam)}
         assert bips == {bip((1, 1), (2, 1)), bip((2,), (2, 1)),
                         bip((2, 1), (1, 1)), bip((2, 1), (2,))}
+
+    def test_core_block_has_none(self):
+        # (-|3,3,3) at e = 6, kappa = (0, 0) is a weight-3 core: 20
+        # members and no nucleus, so no exceptional labels
+        p = Params.make(6, (0, 0))
+        key = key_of(bip((), (3, 3, 3)), p)
+        assert key == BlockKey(9, (3, 2, 1, 0, 1, 2))
+        assert len(enumerate_block(key, p)) == 20
+        assert classify_type(key, p).is_core
+        assert exceptional_bips(key, p) == []
 
     def test_weight_restriction(self):
         p = Params.make(3, (0, 1))

@@ -128,6 +128,17 @@ class TestSerialization:
         # the matrix writer prints what json.dumps prints of the document
         assert text == json.dumps(matrix_doc(m), indent=2) + "\n"
 
+    def test_writers_build_no_matrix_view(self):
+        # decomp's json and table writers read the bound table; neither
+        # derives the entries or flags view (H5 has a clamped entry)
+        p = Params.make(2, (1, 1))
+        m = decomposition_matrix(block_key(bip((), (2, 1, 1, 1)), p)[0], p)
+        fresh = DecompMatrix(m.block, m.rows, m.cols, m.jbounds)
+        serialize(fresh)
+        assert "*" in cli._render_matrix_table(fresh)
+        assert "entries" not in fresh.__dict__
+        assert "flags" not in fresh.__dict__
+
     def test_matrix_text_of_solved_blocks(self):
         # the writer against json.dumps of the document on every catalogue
         # family, the ladder at e = 5 and 7 and every block with n <= 6 at
@@ -242,6 +253,18 @@ class TestVerifier:
         res = run("verify", "--case", "II-main")
         assert res.exit_code == 1
         assert res.output.startswith(f"error: {message}")
+
+    def test_unknown_probe_kind(self, monkeypatch):
+        spec = CASES["II-main"]
+        spec = dataclasses.replace(spec, probes=spec.probes + (
+            cli.Probe("no-such-kind", (), "x"),))
+        with pytest.raises(ValueError,
+                           match="^unknown probe kind no-such-kind$"):
+            verify_case(spec)
+        monkeypatch.setitem(CASES, "II-main", spec)
+        res = run("verify", "--case", "II-main")
+        assert res.exit_code == 1
+        assert res.output == "error: unknown probe kind no-such-kind\n"
 
     def test_verify_all_json(self):
         res = run("verify", "--all", "--format", "json")

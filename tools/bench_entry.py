@@ -16,7 +16,9 @@ The entry also times cold solves of the type-III window (0,1,1,2,3) at
 e = 5, 7, 9 and 11 in each checkout: ``ROUNDS`` alternating rounds of one
 fresh process per side, each process solving every rung ``REPS`` times.
 The calibration loop of ``perfbench/worker.py`` is read before and after
-each process.
+each process, and the process's times are scaled by the median of the two
+readings to a host on which the loop takes ``CAL_REF_MS``, as the
+benchmark scales its latencies.
 """
 
 from __future__ import annotations
@@ -92,9 +94,10 @@ def _claim_met(pairs: dict, workload: str, metric: str) -> bool:
 
 
 def _ladder_child() -> None:
-    """Time the ladder in this process and print one JSON object."""
+    """Time the ladder in this process and print one JSON object, the
+    times scaled by this process's calibrations."""
     sys.path.insert(0, PERFBENCH)
-    from worker import calibrate
+    from worker import CAL_REF_MS, calibrate
     from bipblocks.blocks import (
         block_key, enumerate_block, family_from_type_params,
     )
@@ -116,7 +119,11 @@ def _ladder_child() -> None:
             enum.append(time.perf_counter() - start)
         out[str(e)] = {"solve_s": solve, "enumerate_s": enum}
     cal.append(calibrate())
-    print(json.dumps({"rungs": out, "cal_ms": cal}))
+    scale = CAL_REF_MS / statistics.median(cal)
+    rungs = {e: {name: [t * scale for t in times]
+                 for name, times in rung.items()}
+             for e, rung in out.items()}
+    print(json.dumps({"rungs": rungs, "cal_ms": cal}))
 
 
 def _ladder(checkouts: dict) -> dict:
@@ -145,8 +152,11 @@ def _ladder(checkouts: dict) -> dict:
             "max": max(cal)}}
     out["about"] = (f"median seconds over {ROUNDS} alternating rounds of "
                     f"{REPS} cold solves each, type III window "
-                    f"{WINDOW}; enumeration timed apart; cal_ms is the "
-                    "perfbench calibration loop around each round")
+                    f"{WINDOW}; enumeration timed apart; each round's "
+                    "times are scaled to a host on which the perfbench "
+                    "calibration loop takes CAL_REF_MS, by the median of "
+                    "the readings around it, and cal_ms holds those "
+                    "readings")
     return out
 
 

@@ -31,6 +31,10 @@ compares their outputs:
 - ``block enumerate`` on the weight-1 block of (3,1,1,1|-) at e = 4,
   kappa = (0,3), and on the weight-3 block of (-|5,1,1) at e = 4,
   kappa = (0,1), whose nucleus only the swapped component order finds;
+- ``block info`` and ``block exceptional`` on the II-main block (e = 5,
+  window (0,0,1,3)), the IV-1 block (e = 4, window (0,0,0,1,2)) and the
+  core weight-3 block of (-|3,3,3) at e = 6, kappa = (0,0), which has no
+  nucleus;
 - every ``$ bipblocks`` example in this checkout's README, the cached
   ``decomp`` under an empty cache directory;
 - last, the bytes of the cache files that the ladder's cached ``decomp``
@@ -155,6 +159,17 @@ def commands() -> dict[str, tuple[list[list[str]], str]]:
         for fmt in FORMATS:
             out[f"{name} block enumerate {fmt}"] = [[
                 "block", "enumerate", "--block", doc, "--format", fmt]], ""
+    ii = family_from_type_params("II", 5, (0, 0, 1, 3))
+    iv = family_from_type_params("IV", 4, (0, 0, 0, 1, 2))
+    for name, member, p in (
+            ("II-main", ii.labels[0].bipartition, ii.params),
+            ("IV-1", iv.labels[0].bipartition, iv.params),
+            ("core", bip((), (3, 3, 3)), Params.make(6, (0, 0)))):
+        doc = block_doc(p, block_key(member, p)[0])
+        for verb in ("info", "exceptional"):
+            for fmt in FORMATS:
+                out[f"{name} block {verb} {fmt}"] = [[
+                    "block", verb, "--block", doc, "--format", fmt]], ""
     for n, args in enumerate(readme_examples(os.path.join(ROOT,
                                                           "README.md"))):
         out[f"readme {n} {' '.join(args[:2])}"] = [args], ""
